@@ -14,9 +14,7 @@ from .core import (
     RUNGE,
     SampleSet,
     TargetFunction,
-    Tolerances,
     evaluate,
-    get_target,
     polynomial_target,
     runge,
 )

@@ -1,9 +1,10 @@
-"""Benchmark harness: named experiment dispatch, the paper-style figure
-reproductions, and deterministic CSV/SVG emission."""
+"""Benchmark harness: the method registry, the paper-style figures as data,
+and deterministic CSV/SVG emission."""
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -13,24 +14,10 @@ from typing import Callable
 import numpy as np
 
 from . import interpolants, metrics, nodes
-from .core import (
-    Approximant,
-    Basis,
-    Interval,
-    RUNGE,
-    SampleSet,
-    TargetFunction,
-)
-from .interpolants import (
-    BandStrategy,
-    EfciConfig,
-    PenaltyKind,
-    TikhonovOperator,
-    TisiConfig,
-)
+from .core import Basis, Interval, RUNGE, TargetFunction
+from .interpolants import BandStrategy, EfciConfig, PenaltyKind, TikhonovOperator, TisiConfig
 from .metrics import ErrorReport, error_report
 
-SUPPORTED_FIGURES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13)
 UNSUPPORTED_FIGURE_NOTE = {10: "not reproducible - undefined in source"}
 SVD_THRESHOLDS = (1e-2, 1e-5, 1e-10, 1e-15)
 
@@ -53,7 +40,6 @@ class Curve:
 @dataclass
 class ExperimentConfig:
     method: str = "lagrange"
-    figure_id: int | None = None
     interval: Interval = field(default_factory=Interval)
     n_samples: int = 11
     degree: int = 10
@@ -62,14 +48,9 @@ class ExperimentConfig:
     output_dir: str | None = None
     emit_svg: bool = False
 
-    def __post_init__(self):
-        if self.figure_id is not None and self.figure_id not in SUPPORTED_FIGURES:
-            raise UsageError(_figure_error(self.figure_id))
-
 
 @dataclass
 class ReportBundle:
-    config_echo: ExperimentConfig
     curves: list[Curve]
     reports: list[ErrorReport]
     node_markers: list[Curve] = field(default_factory=list)
@@ -89,13 +70,30 @@ def _figure_error(fid) -> str:
 
 # ---------------------------------------------------------------------------
 # Method registry
+#
+# A builder takes (samples, f, degree, interval, **params) and returns the
+# approximant together with the point sets it was fitted to, by name: "nodes"
+# for the samples of f it was fitted to. It passes on only the parameters a
+# user or a figure sets, so every default is the library function's or config
+# dataclass's.
+
+# Node family name -> (sample count, interval) -> NodeSet. Each generator is
+# looked up on the nodes module at call time, so a wrapper installed on the
+# module attribute sees every call.
+NODE_FAMILIES = {
+    "equispaced": lambda n, iv: nodes.equispaced(n, iv),
+    "chebyshev_roots": lambda n, iv: nodes.chebyshev_roots(n - 1, iv),
+    "chebyshev_lobatto": lambda n, iv: nodes.chebyshev_lobatto(n - 1, iv),
+    "every_other": lambda n, iv: nodes.every_other_subset(nodes.equispaced(n, iv)).node_set(),
+}
 
 
 @dataclass(frozen=True)
 class MethodInfo:
     name: str
-    params: dict  # key -> python type of the value
+    params: dict  # key -> python type of the value, or the tuple of allowed enum members
     build: Callable
+    family: str | None = "equispaced"  # nodes it is fitted to; None: it samples f itself
 
 
 def _coerce_params(info: MethodInfo, raw: dict) -> dict:
@@ -107,6 +105,14 @@ def _coerce_params(info: MethodInfo, raw: dict) -> dict:
                 f"allowed: {sorted(info.params) or 'none'}"
             )
         typ = info.params[key]
+        if isinstance(typ, tuple):
+            choices = {member.value: member for member in typ}
+            if str(value) not in choices:
+                raise UsageError(
+                    f"parameter {key!r} for method {info.name!r} must be one of {list(choices)}"
+                )
+            out[key] = choices[str(value)]
+            continue
         try:
             if typ is bool and isinstance(value, str):
                 if value.lower() not in ("true", "false", "1", "0"):
@@ -119,195 +125,206 @@ def _coerce_params(info: MethodInfo, raw: dict) -> dict:
     return out
 
 
-def _equispaced_samples(cfg: ExperimentConfig, f: TargetFunction) -> SampleSet:
-    return f.sample(nodes.equispaced(cfg.n_samples, cfg.interval))
+def _nodes(samples) -> dict:
+    return {"nodes": (samples.xs, samples.ys)}
 
 
-def _build_lagrange(cfg, f, p):
-    return interpolants.lagrange_interpolate(_equispaced_samples(cfg, f))
+def _renamed(params: dict, **names) -> dict:
+    """Registry parameter names -> library keyword names."""
+    return {names.get(key, key): value for key, value in params.items()}
 
 
-def _build_chebyshev(cfg, f, p):
-    return interpolants.chebyshev_interpolate(f, cfg.n_samples - 1, cfg.interval)
+def _penalized(kind: PenaltyKind) -> Callable:
+    return lambda s, f, degree, iv, **p: (interpolants.fit_regularized(s, degree, kind, **p), _nodes(s))
 
 
-def _build_spline(cfg, f, p):
-    return interpolants.cubic_spline(_equispaced_samples(cfg, f))
+def _chebyshev(s, f, degree, interval):
+    approx = interpolants.chebyshev_interpolate(f, len(s) - 1, interval)
+    return approx, {"nodes": (approx.nodes.xs, approx.ys)}
 
 
-def _build_penalized(kind):
-    def build(cfg, f, p):
-        kwargs = {"alpha": p.get("alpha", 0.01)}
-        if kind is PenaltyKind.ELASTIC_NET:
-            kwargs["rho"] = p.get("rho", 0.5)
-        if kind is PenaltyKind.NONE:
-            kwargs = {}
-        return interpolants.fit_regularized(
-            _equispaced_samples(cfg, f), cfg.degree, penalty=kind, **kwargs
-        )
-
-    return build
+def _efci(s, f, degree, interval, **p):
+    cfg = EfciConfig(degree=degree, **_renamed(p, weight="constraint_weight"))
+    approx, positions, _ = interpolants.efci_fit(s, f, cfg)
+    return approx, {**_nodes(s), "efc positions": (positions, f(positions))}
 
 
-def _build_tikhonov(cfg, f, p):
-    return interpolants.tikhonov_fit(
-        _equispaced_samples(cfg, f),
-        cfg.degree,
-        lam=p.get("lam", 0.01),
-        operator=p.get("operator", "identity"),
-    )
+_TISI_BANDS = {"left": "left_strategy", "center": "center_strategy", "right": "right_strategy"}
 
 
-def _build_efci(cfg, f, p):
-    efci_cfg = EfciConfig(
-        degree=cfg.degree,
-        m=p.get("m", 4),
-        epsilon=p.get("epsilon", 0.1),
-        search=p.get("search", False),
-        constraint_weight=p.get("weight", 10.0),
-    )
-    approx, _, _ = interpolants.efci_fit(_equispaced_samples(cfg, f), f, efci_cfg)
-    return approx
-
-
-def _build_mock_chebyshev(cfg, f, p):
-    return interpolants.mock_chebyshev_interpolate(
-        _equispaced_samples(cfg, f), p.get("m", 10)
-    )
-
-
-def _build_constrained_mock(cfg, f, p):
-    return interpolants.constrained_mock_chebyshev_lstsq(
-        _equispaced_samples(cfg, f), p.get("m", 10), p.get("ls_degree")
-    )
-
-
-def _band_strategy(name: str) -> BandStrategy:
-    try:
-        return BandStrategy(name)
-    except ValueError:
-        raise UsageError(
-            f"unknown band strategy {name!r}; allowed: {[s.value for s in BandStrategy]}"
-        )
-
-
-def _build_tisi(cfg, f, p):
-    if p.get("improved", False):
-        tisi_cfg = TisiConfig.improved(
-            epsilon=p.get("epsilon", 0.2),
-            nodes_per_interval=p.get("nodes_per_interval", 11),
-        )
+def _tisi(s, f, degree, interval, improved=False, **p):
+    if improved:  # the improved variant fixes its band strategies
+        cfg = TisiConfig.improved(**{key: value for key, value in p.items() if key not in _TISI_BANDS})
     else:
-        tisi_cfg = TisiConfig(
-            epsilon=p.get("epsilon", 0.2),
-            left_strategy=_band_strategy(p.get("left", "lagrange_equispaced")),
-            center_strategy=_band_strategy(p.get("center", "lagrange_equispaced")),
-            right_strategy=_band_strategy(p.get("right", "lagrange_equispaced")),
-            nodes_per_interval=p.get("nodes_per_interval", 11),
-        )
-    return interpolants.tisi_fit(f, cfg.interval, tisi_cfg)
-
-
-def _svd_basis(name: str) -> Basis:
-    if name == "monomial":
-        return Basis.MONOMIAL
-    if name == "legendre":
-        return Basis.LEGENDRE
-    raise UsageError(f"unknown basis {name!r}; allowed: ['monomial', 'legendre']")
-
-
-def _build_svd(cfg, f, p):
-    return interpolants.svd_truncated_fit(
-        _equispaced_samples(cfg, f),
-        cfg.degree,
-        threshold=p.get("threshold", 1e-10),
-        basis=_svd_basis(p.get("basis", "legendre")),
-    )
+        cfg = TisiConfig(**_renamed(p, **_TISI_BANDS))
+    return interpolants.tisi_fit(f, interval, cfg), {}
 
 
 METHODS: dict[str, MethodInfo] = {
-    "lagrange": MethodInfo("lagrange", {}, _build_lagrange),
-    "chebyshev": MethodInfo("chebyshev", {}, _build_chebyshev),
-    "spline": MethodInfo("spline", {}, _build_spline),
-    "unregularized": MethodInfo("unregularized", {}, _build_penalized(PenaltyKind.NONE)),
-    "ridge": MethodInfo("ridge", {"alpha": float}, _build_penalized(PenaltyKind.RIDGE)),
-    "lasso": MethodInfo("lasso", {"alpha": float}, _build_penalized(PenaltyKind.LASSO)),
-    "elastic_net": MethodInfo(
-        "elastic_net", {"alpha": float, "rho": float}, _build_penalized(PenaltyKind.ELASTIC_NET)
-    ),
-    "tikhonov": MethodInfo("tikhonov", {"lam": float, "operator": str}, _build_tikhonov),
-    "efci": MethodInfo(
-        "efci", {"m": int, "epsilon": float, "weight": float, "search": bool}, _build_efci
-    ),
-    "mock_chebyshev": MethodInfo("mock_chebyshev", {"m": int}, _build_mock_chebyshev),
-    "constrained_mock_chebyshev": MethodInfo(
-        "constrained_mock_chebyshev", {"m": int, "ls_degree": int}, _build_constrained_mock
-    ),
-    "tisi": MethodInfo(
-        "tisi",
-        {
-            "epsilon": float,
-            "left": str,
-            "center": str,
-            "right": str,
-            "nodes_per_interval": int,
-            "improved": bool,
-        },
-        _build_tisi,
-    ),
-    "svd": MethodInfo("svd", {"threshold": float, "basis": str}, _build_svd),
+    info.name: info
+    for info in (
+        MethodInfo("lagrange", {}, lambda s, f, d, iv: (interpolants.lagrange_interpolate(s), _nodes(s))),
+        MethodInfo("chebyshev", {}, _chebyshev, family="chebyshev_roots"),
+        MethodInfo("spline", {}, lambda s, f, d, iv: (interpolants.cubic_spline(s), _nodes(s))),
+        MethodInfo("unregularized", {}, _penalized(PenaltyKind.NONE)),
+        MethodInfo("ridge", {"alpha": float}, _penalized(PenaltyKind.RIDGE)),
+        MethodInfo("lasso", {"alpha": float}, _penalized(PenaltyKind.LASSO)),
+        MethodInfo("elastic_net", {"alpha": float, "rho": float}, _penalized(PenaltyKind.ELASTIC_NET)),
+        MethodInfo(
+            "tikhonov",
+            {"lam": float, "operator": tuple(TikhonovOperator)},
+            lambda s, f, d, iv, **p: (interpolants.tikhonov_fit(s, d, **p), _nodes(s)),
+        ),
+        MethodInfo("efci", {"m": int, "epsilon": float, "weight": float, "search": bool}, _efci),
+        MethodInfo(
+            "mock_chebyshev",
+            {"m": int},
+            lambda s, f, d, iv, **p: (interpolants.mock_chebyshev_interpolate(s, **p), _nodes(s)),
+        ),
+        MethodInfo(
+            "constrained_mock_chebyshev",
+            {"m": int, "ls_degree": int},
+            lambda s, f, d, iv, **p: (interpolants.constrained_mock_chebyshev_lstsq(s, **p), _nodes(s)),
+        ),
+        MethodInfo(
+            "tisi",
+            {
+                "epsilon": float,
+                "left": tuple(BandStrategy),
+                "center": tuple(BandStrategy),
+                "right": tuple(BandStrategy),
+                "nodes_per_interval": int,
+                "improved": bool,
+            },
+            _tisi,
+            family=None,
+        ),
+        MethodInfo(
+            "svd",
+            {"threshold": float, "basis": (Basis.MONOMIAL, Basis.LEGENDRE)},
+            lambda s, f, d, iv, **p: (interpolants.svd_truncated_fit(s, d, **p), _nodes(s)),
+        ),
+    )
 }
+
+
+def _method(name: str) -> MethodInfo:
+    info = METHODS.get(name)
+    if info is None:
+        raise UsageError(f"unknown method {name!r}; known: {sorted(METHODS)}")
+    return info
+
+
+# ---------------------------------------------------------------------------
+# Figures as data
+
+
+@dataclass(frozen=True)
+class FitSpec:
+    """One labelled fit: a registered method with the parameters set for it,
+    fitted to n samples of a node family."""
+
+    label: str
+    method: str
+    params: dict = field(default_factory=dict)
+    n: int = 11
+    degree: int | None = 10  # None: n - 1
+    family: str | None = None  # None: the method's own
+
+
+@dataclass(frozen=True)
+class FigureSpec:
+    fits: tuple[FitSpec, ...]
+    markers: tuple[tuple[str, str, str], ...] = ()  # (legend label, fit label, point set name)
+    resizable: bool = False  # a sample-count override applies to every fit
+
+
+def _svd_figure(resizable=False, **sampling) -> FigureSpec:
+    """Truncated-SVD fits of one sample set at each of SVD_THRESHOLDS."""
+    fits = tuple(
+        FitSpec(f"svd threshold={t:g}", "svd", {"threshold": t}, **sampling) for t in SVD_THRESHOLDS
+    )
+    return FigureSpec(fits, (("sample nodes", fits[0].label, "nodes"),), resizable)
+
+
+FIGURES: dict[int, FigureSpec] = {
+    1: FigureSpec(tuple(FitSpec(f"equispaced n={n}", "lagrange", n=n) for n in (5, 10, 15, 20))),
+    2: FigureSpec(
+        (FitSpec("chebyshev", "chebyshev"), FitSpec("spline", "spline")),
+        (("equispaced nodes", "spline", "nodes"), ("chebyshev nodes", "chebyshev", "nodes")),
+    ),
+    3: FigureSpec(
+        (
+            FitSpec("no regularization", "unregularized"),
+            FitSpec("ridge", "ridge"),
+            FitSpec("lasso", "lasso"),
+            FitSpec("elastic net", "elastic_net"),
+        ),
+        (("sample nodes", "ridge", "nodes"),),
+    ),
+    4: FigureSpec(
+        (FitSpec("tikhonov lambda=0.01", "tikhonov", degree=12),),
+        (("sample nodes", "tikhonov lambda=0.01", "nodes"),),
+    ),
+    5: FigureSpec(
+        (FitSpec("efci", "efci", {"search": True}),),
+        (("sample nodes", "efci", "nodes"), ("efc positions", "efci", "efc positions")),
+    ),
+    6: FigureSpec(
+        (FitSpec("least squares", "unregularized", n=20), FitSpec("mock-chebyshev", "mock_chebyshev", n=20)),
+        (("grid points", "least squares", "nodes"),),
+    ),
+    7: FigureSpec((FitSpec("tisi", "tisi"),)),
+    8: FigureSpec((FitSpec("tisi improved", "tisi", {"improved": True}),)),
+    9: FigureSpec(
+        (
+            FitSpec("equispaced", "lagrange", n=21),
+            FitSpec("chebyshev-lobatto", "lagrange", n=21, family="chebyshev_lobatto"),
+            FitSpec("every-other subset", "lagrange", n=21, family="every_other"),
+        )
+    ),
+    11: _svd_figure(),
+    12: _svd_figure(resizable=True, n=21, degree=None),
+    13: _svd_figure(family="chebyshev_roots"),
+}
+SUPPORTED_FIGURES = tuple(FIGURES)
 
 
 # ---------------------------------------------------------------------------
 # Experiment and figure runners
 
 
-def _grid(cfg: ExperimentConfig) -> np.ndarray:
-    return np.linspace(cfg.interval.lo, cfg.interval.hi, cfg.grid_size)
+def _fit(spec: FitSpec, f: TargetFunction, interval: Interval):
+    """(approximant, named point sets) of one fit spec."""
+    info = _method(spec.method)
+    params = _coerce_params(info, spec.params)
+    family = spec.family or info.family
+    samples = f.sample(NODE_FAMILIES[family](spec.n, interval)) if family else None
+    degree = spec.n - 1 if spec.degree is None else spec.degree
+    return info.build(samples, f, degree, interval, **params)
+
+
+def _bundle(figure: FigureSpec, f: TargetFunction, interval: Interval, grid_size: int) -> ReportBundle:
+    """Truth + one curve and error report per fit, and the figure's markers."""
+    xs = np.linspace(interval.lo, interval.hi, grid_size)
+    curves, reports, points = [Curve(f.name, xs, f(xs))], [], {}
+    for spec in figure.fits:
+        approx, points[spec.label] = _fit(spec, f, interval)
+        curves.append(Curve(spec.label, xs, approx.evaluate(xs)))
+        reports.append(error_report(approx, f, interval, grid_size, method=spec.label))
+    markers = [
+        Curve(legend, *points[label][name]) for legend, label, name in figure.markers if name in points[label]
+    ]
+    return ReportBundle(curves=curves, reports=reports, node_markers=markers)
 
 
 def run_experiment(cfg: ExperimentConfig, f: TargetFunction = RUNGE) -> ReportBundle:
-    """Dispatch to a registered method and package truth + fit curves."""
-    info = METHODS.get(cfg.method)
-    if info is None:
-        raise UsageError(f"unknown method {cfg.method!r}; known: {sorted(METHODS)}")
-    params = _coerce_params(info, cfg.method_params)
-    approx = info.build(cfg, f, params)
-    xs = _grid(cfg)
-    bundle = ReportBundle(
-        config_echo=cfg,
-        curves=[
-            Curve(f.name, xs, f(xs)),
-            Curve(cfg.method, xs, approx.evaluate(xs)),
-        ],
-        reports=[
-            error_report(approx, f, cfg.interval, cfg.grid_size, method=cfg.method)
-        ],
-    )
-    try:
-        samples = _equispaced_samples(cfg, f)
-        bundle.node_markers.append(Curve("sample nodes", samples.xs, samples.ys))
-    except ValueError:
-        pass
-    _maybe_write(bundle, cfg, name=cfg.method)
+    """One registered method as a one-fit figure, marking the nodes it was fitted to."""
+    fit = FitSpec(cfg.method, cfg.method, cfg.method_params, n=cfg.n_samples, degree=cfg.degree)
+    figure = FigureSpec((fit,), (("sample nodes", cfg.method, "nodes"),))
+    bundle = _bundle(figure, f, cfg.interval, cfg.grid_size)
+    _maybe_write(bundle, cfg.output_dir, cfg.emit_svg, name=cfg.method)
     return bundle
-
-
-def _bundle(cfg, f, fits, markers=()) -> ReportBundle:
-    """Assemble truth + labelled approximants into a bundle."""
-    xs = _grid(cfg)
-    curves = [Curve(f.name, xs, f(xs))]
-    reports = []
-    for label, approx in fits:
-        curves.append(Curve(label, xs, approx.evaluate(xs)))
-        reports.append(error_report(approx, f, cfg.interval, cfg.grid_size, method=label))
-    return ReportBundle(
-        config_echo=cfg,
-        curves=curves,
-        reports=reports,
-        node_markers=[Curve(lbl, np.asarray(mx), np.asarray(my)) for lbl, mx, my in markers],
-    )
 
 
 def run_figure(
@@ -320,111 +337,12 @@ def run_figure(
     """Reproduce one of the paper-style figures as curves plus error reports."""
     if figure_id not in SUPPORTED_FIGURES:
         raise UsageError(_figure_error(figure_id))
-    f = RUNGE
-    cfg = ExperimentConfig(
-        method=f"figure{figure_id}",
-        figure_id=figure_id,
-        grid_size=grid_size,
-        output_dir=output_dir,
-        emit_svg=emit_svg_file,
-    )
-    interval = cfg.interval
-
-    if figure_id == 1:
-        fits = []
-        for n in (5, 10, 15, 20):
-            samples = f.sample(nodes.equispaced(n, interval))
-            fits.append((f"equispaced n={n}", interpolants.lagrange_interpolate(samples)))
-        bundle = _bundle(cfg, f, fits)
-
-    elif figure_id == 2:
-        cheb = interpolants.chebyshev_interpolate(f, 10, interval)
-        uni = f.sample(nodes.equispaced(11, interval))
-        spline = interpolants.cubic_spline(uni)
-        markers = [
-            ("equispaced nodes", uni.xs, uni.ys),
-            ("chebyshev nodes", cheb.nodes.xs, cheb.ys),
-        ]
-        bundle = _bundle(cfg, f, [("chebyshev", cheb), ("spline", spline)], markers)
-
-    elif figure_id == 3:
-        samples = f.sample(nodes.equispaced(11, interval))
-        deg = 10
-        fits = [
-            ("no regularization", interpolants.fit_regularized(samples, deg, PenaltyKind.NONE)),
-            ("ridge", interpolants.fit_regularized(samples, deg, PenaltyKind.RIDGE, alpha=0.01)),
-            ("lasso", interpolants.fit_regularized(samples, deg, PenaltyKind.LASSO, alpha=0.01)),
-            (
-                "elastic net",
-                interpolants.fit_regularized(samples, deg, PenaltyKind.ELASTIC_NET, alpha=0.01, rho=0.5),
-            ),
-        ]
-        bundle = _bundle(cfg, f, fits, [("sample nodes", samples.xs, samples.ys)])
-
-    elif figure_id == 4:
-        samples = f.sample(nodes.equispaced(11, interval))
-        fit = interpolants.tikhonov_fit(samples, degree=12, lam=0.01)
-        bundle = _bundle(cfg, f, [("tikhonov lambda=0.01", fit)], [("sample nodes", samples.xs, samples.ys)])
-
-    elif figure_id == 5:
-        samples = f.sample(nodes.equispaced(11, interval))
-        efci_cfg = EfciConfig(degree=10, epsilon=0.1, search=True, constraint_weight=10.0)
-        approx, positions, _ = interpolants.efci_fit(samples, f, efci_cfg)
-        markers = [
-            ("sample nodes", samples.xs, samples.ys),
-            ("efc positions", positions, f(positions)),
-        ]
-        bundle = _bundle(cfg, f, [("efci", approx)], markers)
-
-    elif figure_id == 6:
-        samples = f.sample(nodes.equispaced(20, interval))
-        ls = interpolants.fit_regularized(samples, 10, PenaltyKind.NONE)
-        mock = interpolants.mock_chebyshev_interpolate(samples, 10)
-        bundle = _bundle(
-            cfg,
-            f,
-            [("least squares", ls), ("mock-chebyshev", mock)],
-            [("grid points", samples.xs, samples.ys)],
-        )
-
-    elif figure_id in (7, 8):
-        tisi_cfg = TisiConfig() if figure_id == 7 else TisiConfig.improved()
-        label = "tisi" if figure_id == 7 else "tisi improved"
-        bundle = _bundle(cfg, f, [(label, interpolants.tisi_fit(f, interval, tisi_cfg))])
-
-    elif figure_id == 9:
-        uni = f.sample(nodes.equispaced(21, interval))
-        lob = f.sample(nodes.chebyshev_lobatto(20, interval))
-        sel = nodes.every_other_subset(uni.nodes)
-        sub = SampleSet(sel.node_set(), uni.ys[list(sel.indices)])
-        fits = [
-            ("equispaced", interpolants.lagrange_interpolate(uni)),
-            ("chebyshev-lobatto", interpolants.lagrange_interpolate(lob)),
-            ("every-other subset", interpolants.lagrange_interpolate(sub)),
-        ]
-        bundle = _bundle(cfg, f, fits)
-
-    else:  # 11, 12, 13: truncated-SVD threshold sweeps
-        if figure_id == 11:
-            samples = f.sample(nodes.equispaced(11, interval))
-            degree = 10
-        elif figure_id == 12:
-            n = n_samples or 21
-            samples = f.sample(nodes.equispaced(n, interval))
-            degree = len(samples) - 1
-        else:
-            samples = f.sample(nodes.chebyshev_roots(10, interval))
-            degree = 10
-        fits = [
-            (
-                f"svd threshold={t:g}",
-                interpolants.svd_truncated_fit(samples, degree, t, Basis.LEGENDRE),
-            )
-            for t in SVD_THRESHOLDS
-        ]
-        bundle = _bundle(cfg, f, fits, [("sample nodes", samples.xs, samples.ys)])
-
-    _maybe_write(bundle, cfg, name=f"figure{figure_id}")
+    figure = FIGURES[figure_id]
+    if figure.resizable and n_samples:
+        fits = tuple(dataclasses.replace(spec, n=n_samples) for spec in figure.fits)
+        figure = dataclasses.replace(figure, fits=fits)
+    bundle = _bundle(figure, RUNGE, Interval(), grid_size)
+    _maybe_write(bundle, output_dir, emit_svg_file, name=f"figure{figure_id}")
     return bundle
 
 
@@ -451,12 +369,12 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise OSError(f"failed writing {path}: {exc}") from exc
 
 
-def _maybe_write(bundle: ReportBundle, cfg: ExperimentConfig, name: str) -> None:
-    if cfg.output_dir is None:
+def _maybe_write(bundle: ReportBundle, output_dir: str | None, svg: bool, name: str) -> None:
+    if output_dir is None:
         return
-    out = Path(cfg.output_dir)
+    out = Path(output_dir)
     emit_csv(bundle, out / f"{name}.csv")
-    if cfg.emit_svg:
+    if svg:
         emit_svg(bundle, out / f"{name}.svg")
 
 
@@ -600,12 +518,9 @@ def read_curve_csv(path) -> list[Curve]:
 
 def sweep(method: str, grid, f: TargetFunction = RUNGE, grid_size: int = 1001) -> list[metrics.StudyEntry]:
     """Convergence study of a registered method over sample counts."""
-    info = METHODS.get(method)
-    if info is None:
-        raise UsageError(f"unknown method {method!r}; known: {sorted(METHODS)}")
+    _method(method)
 
     def handle(func, n):
-        cfg = ExperimentConfig(method=method, n_samples=n, degree=max(n - 1, 1), grid_size=grid_size)
-        return info.build(cfg, func, {})
+        return _fit(FitSpec(method, method, n=n, degree=max(n - 1, 1)), func, Interval())[0]
 
     return metrics.convergence_study(handle, f, list(grid), grid_size=grid_size, method_name=method)

@@ -149,7 +149,10 @@ def _cmd_sweep(args, out_dir):
 def _cmd_list_methods():
     for name in sorted(bench.METHODS):
         info = bench.METHODS[name]
-        params = ", ".join(f"{k}:{t.__name__}" for k, t in sorted(info.params.items())) or "-"
+        # an enum-valued parameter takes one of its members' string values
+        params = ", ".join(
+            f"{k}:{'str' if isinstance(t, tuple) else t.__name__}" for k, t in sorted(info.params.items())
+        ) or "-"
         print(f"{name:28s} params: {params}")
     for fid, note in bench.UNSUPPORTED_FIGURE_NOTE.items():
         print(f"figure {fid}: {note}")

@@ -143,34 +143,6 @@ def polynomial_target(coeffs: Sequence[float], name: str | None = None) -> Targe
     return TargetFunction(name or f"poly_deg{len(c) - 1}", lambda x: _poly.polyval(x, c))
 
 
-TARGETS: dict[str, TargetFunction] = {
-    "runge": RUNGE,
-    "poly3": polynomial_target([0.0, -1.0, 0.0, 2.0], "poly3"),
-    "poly5": polynomial_target([1.0, 0.0, -3.0, 0.0, 1.0, 0.5], "poly5"),
-}
-
-
-def get_target(name: str) -> TargetFunction:
-    try:
-        return TARGETS[name]
-    except KeyError:
-        raise KeyError(f"unknown target function {name!r}; known: {sorted(TARGETS)}")
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    node_match: float = 1e-9
-    continuity: float = 1e-8
-    linalg_rel: float = 1e-10
-
-    def __post_init__(self):
-        if min(self.node_match, self.continuity, self.linalg_rel) <= 0:
-            raise ValueError("tolerances must be strictly positive")
-
-
-DEFAULT_TOLERANCES = Tolerances()
-
-
 class Approximant:
     """Base class for evaluable approximations."""
 

@@ -99,7 +99,7 @@ def fit_regularized(
     samples: SampleSet,
     degree: int,
     penalty: PenaltyKind | str = PenaltyKind.NONE,
-    alpha: float = 0.0,
+    alpha: float = 0.01,
     rho: float = 0.5,
     tol: float = 1e-8,
     max_iter: int = 100_000,
@@ -144,7 +144,7 @@ def _second_difference_matrix(p: int) -> np.ndarray:
 def tikhonov_fit(
     samples: SampleSet,
     degree: int,
-    lam: float,
+    lam: float = 0.01,
     operator: TikhonovOperator | str = TikhonovOperator.IDENTITY,
 ) -> BasisPoly:
     """Stacked least squares [A; L] c = [y; 0] with L = lam*I or lam*D2."""
@@ -244,7 +244,7 @@ def efci_fit(samples: SampleSet, f: TargetFunction, cfg: EfciConfig):
 # Mock-Chebyshev subset methods
 
 
-def mock_chebyshev_interpolate(full: SampleSet, m: int, exclude_endpoints: bool = False) -> Barycentric:
+def mock_chebyshev_interpolate(full: SampleSet, m: int = 10, exclude_endpoints: bool = False) -> Barycentric:
     """Interpolate on the subset of the full grid nearest the Lobatto targets."""
     if len(full) < 2:
         raise ValueError("need at least two samples")
@@ -258,7 +258,7 @@ def mock_chebyshev_interpolate(full: SampleSet, m: int, exclude_endpoints: bool 
 
 def constrained_mock_chebyshev_lstsq(
     full: SampleSet,
-    m: int,
+    m: int = 10,
     ls_degree: int | None = None,
 ) -> BasisPoly:
     """Least squares over the full grid, constrained to interpolate exactly on
@@ -317,15 +317,10 @@ class TisiConfig:
             raise ValueError("nodes_per_interval must be >= 2")
 
     @classmethod
-    def improved(cls, epsilon: float = 0.2, nodes_per_interval: int = 11) -> "TisiConfig":
-        """End bands on equispaced Lagrange, Chebyshev clustering in the center."""
-        return cls(
-            epsilon=epsilon,
-            left_strategy=BandStrategy.LAGRANGE_EQUISPACED,
-            center_strategy=BandStrategy.LAGRANGE_CHEB,
-            right_strategy=BandStrategy.LAGRANGE_EQUISPACED,
-            nodes_per_interval=nodes_per_interval,
-        )
+    def improved(cls, **fields) -> "TisiConfig":
+        """End bands on equispaced Lagrange, Chebyshev clustering in the center;
+        ``fields`` sets epsilon and nodes_per_interval."""
+        return cls(center_strategy=BandStrategy.LAGRANGE_CHEB, **fields)
 
 
 def _band_nodes(band: Interval, strategy: BandStrategy, n: int) -> NodeSet:
@@ -370,7 +365,7 @@ def tisi_fit(f: TargetFunction, interval: Interval, cfg: TisiConfig) -> Piecewis
 def svd_truncated_fit(
     samples: SampleSet,
     degree: int,
-    threshold: float,
+    threshold: float = 1e-10,
     basis: Basis = Basis.LEGENDRE,
 ) -> BasisPoly:
     """Design matrix in the chosen basis, solved through the relative-threshold

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from runge_lab import bench
+from runge_lab import RUNGE, Interval, bench, chebyshev_roots, equispaced, interpolants
 from runge_lab.bench import (
     Curve,
     ExperimentConfig,
@@ -16,8 +16,7 @@ from runge_lab.bench import (
 
 
 def _tiny_bundle(curves, markers=()):
-    cfg = ExperimentConfig(method="lagrange")
-    return ReportBundle(config_echo=cfg, curves=curves, reports=[], node_markers=list(markers))
+    return ReportBundle(curves=curves, reports=[], node_markers=list(markers))
 
 
 def test_run_experiment_lagrange_through_samples():
@@ -46,9 +45,39 @@ def test_run_experiment_rejects_unknown_method_and_params():
         run_experiment(ExperimentConfig(method="svd", method_params={"threshold": "abc"}))
 
 
-def test_experiment_config_rejects_figure_10():
-    with pytest.raises(UsageError):
-        ExperimentConfig(method="lagrange", figure_id=10)
+_S11 = RUNGE.sample(equispaced(11))
+
+# Each registered method's library function on the samples run_experiment's
+# default config draws (11 equispaced samples, degree 10), with only its
+# required arguments.
+LIBRARY_CALLS = {
+    "lagrange": lambda: interpolants.lagrange_interpolate(_S11),
+    "chebyshev": lambda: interpolants.chebyshev_interpolate(RUNGE, 10),
+    "spline": lambda: interpolants.cubic_spline(_S11),
+    "unregularized": lambda: interpolants.fit_regularized(_S11, 10),
+    "ridge": lambda: interpolants.fit_regularized(_S11, 10, "ridge"),
+    "lasso": lambda: interpolants.fit_regularized(_S11, 10, "lasso"),
+    "elastic_net": lambda: interpolants.fit_regularized(_S11, 10, "elastic_net"),
+    "tikhonov": lambda: interpolants.tikhonov_fit(_S11, 10),
+    "efci": lambda: interpolants.efci_fit(_S11, RUNGE, interpolants.EfciConfig())[0],
+    "mock_chebyshev": lambda: interpolants.mock_chebyshev_interpolate(_S11),
+    "constrained_mock_chebyshev": lambda: interpolants.constrained_mock_chebyshev_lstsq(_S11),
+    "tisi": lambda: interpolants.tisi_fit(RUNGE, Interval(), interpolants.TisiConfig()),
+    "svd": lambda: interpolants.svd_truncated_fit(_S11, 10),
+}
+
+
+@pytest.mark.parametrize("method", sorted(bench.METHODS))
+def test_registry_states_no_default_of_its_own(method):
+    curve = run_experiment(ExperimentConfig(method=method)).curves[1]
+    assert np.array_equal(curve.ys, LIBRARY_CALLS[method]().evaluate(curve.xs))
+
+
+def test_run_marks_only_the_nodes_the_fit_used():
+    [marker] = run_experiment(ExperimentConfig(method="chebyshev")).node_markers
+    assert np.array_equal(marker.xs, chebyshev_roots(10).xs)
+    # TISI samples each band on its own grid, so there is no one sample set to mark
+    assert run_experiment(ExperimentConfig(method="tisi")).node_markers == []
 
 
 def test_run_figure_unsupported_lists_ids():

@@ -24,9 +24,17 @@ def test_cli_run_with_params_and_svg(tmp_path):
 
 
 def test_cli_run_bad_param(tmp_path, capsys):
-    rc = main(["--out", str(tmp_path), "run", "--method", "lagrange", "--param", "alpha=1"])
-    assert rc == 2
-    assert "alpha" in capsys.readouterr().err
+    cases = [
+        ("lagrange", "alpha=1", "alpha"),
+        ("tikhonov", "operator=bogus", "second_difference"),
+        ("svd", "basis=bogus", "legendre"),
+        ("svd", "basis=chebyshev_t", "legendre"),  # a basis the SVD fit rejects
+        ("tisi", "left=bogus", "spline_local"),
+    ]
+    for method, param, listed in cases:
+        rc = main(["--out", str(tmp_path), "run", "--method", method, "--param", param])
+        assert rc == 2, param
+        assert listed in capsys.readouterr().err
 
 
 def test_cli_run_config_file(tmp_path):

@@ -11,10 +11,8 @@ from runge_lab.core import (
     NodeSet,
     Piecewise,
     SampleSet,
-    Tolerances,
     barycentric_weights,
     evaluate,
-    get_target,
     runge,
 )
 
@@ -56,11 +54,6 @@ def test_sampleset_validation():
         SampleSet(ns, [1.0, 2.0])
     with pytest.raises(ValueError):
         SampleSet(ns, [1.0, np.inf, 2.0])
-
-
-def test_tolerances_positive():
-    with pytest.raises(ValueError):
-        Tolerances(node_match=0.0)
 
 
 def test_constant_basis_poly():
@@ -131,9 +124,3 @@ def test_piecewise_validation():
         Piecewise(np.array([0.0, 0.0]), (p,))
     with pytest.raises(ValueError):
         Piecewise(np.array([0.0, 1.0, 2.0]), (p,))
-
-
-def test_target_registry():
-    assert get_target("runge")(0.0) == 1.0
-    with pytest.raises(KeyError):
-        get_target("nope")
