@@ -198,12 +198,21 @@ def barycentric_weights(xs: np.ndarray) -> np.ndarray:
     return 1.0 / np.prod(diffs, axis=1)
 
 
+# Evaluation points x nodes elements per block of Barycentric.evaluate: big
+# enough that paper-size calls are one block, small enough to stay in cache.
+_EVAL_BLOCK = 1 << 18
+
+
 @dataclass(frozen=True)
 class Barycentric(Approximant):
     """Second-form barycentric Lagrange interpolant.
 
     Node hits are detected by exact floating equality, returning the stored
     ordinate, which sidesteps the 0/0 case without a fuzzy epsilon.
+
+    Cost model: evaluating m points is O(m n) arithmetic, done in blocks of
+    ``max(1, _EVAL_BLOCK // n)`` points, so temporary memory is O(block n)
+    rather than O(m n). Each point's value depends only on that point.
     """
 
     nodes: NodeSet
@@ -230,12 +239,16 @@ class Barycentric(Approximant):
 
     def evaluate(self, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        diff = xs[:, None] - self.nodes.xs[None, :]
-        hit_rows, hit_cols = np.nonzero(diff == 0.0)
-        diff[hit_rows, hit_cols] = 1.0  # dummy, overwritten below
-        terms = self.weights[None, :] / diff
-        out = (terms @ self.ys) / terms.sum(axis=1)
-        out[hit_rows] = self.ys[hit_cols]
+        out = np.empty_like(xs)
+        block = max(1, _EVAL_BLOCK // len(self.nodes))
+        for start in range(0, len(xs), block):
+            diff = xs[start : start + block, None] - self.nodes.xs[None, :]
+            hit_rows, hit_cols = np.nonzero(diff == 0.0)
+            diff[hit_rows, hit_cols] = 1.0  # dummy, overwritten below
+            terms = self.weights[None, :] / diff
+            part = (terms @ self.ys) / terms.sum(axis=1)
+            part[hit_rows] = self.ys[hit_cols]
+            out[start : start + block] = part
         return out
 
     @property
@@ -246,7 +259,17 @@ class Barycentric(Approximant):
 @dataclass(frozen=True)
 class Piecewise(Approximant):
     """Piecewise approximant dispatching on subinterval: left-closed/right-open
-    pieces, the last piece closed on both ends."""
+    pieces, the last piece closed on both ends.
+
+    Cost model: evaluating m points locates them with one ``searchsorted``,
+    sorts them by piece once, and calls each piece that received points once
+    on its contiguous slice, so the work is O(m log m) plus one call per piece
+    hit, not one pass over the points per piece. The natural cubic spline
+    stays a ``Piecewise`` of monomial pieces rather than a kind of its own:
+    its knots are the breakpoints, each gap's coefficients stay readable as
+    ``pieces[i]``, and a point on a knot goes to the piece on its right by the
+    same rule as every other piecewise approximant.
+    """
 
     breakpoints: np.ndarray
     pieces: tuple[Approximant, ...]
@@ -268,14 +291,16 @@ class Piecewise(Approximant):
         lo, hi = self.breakpoints[0], self.breakpoints[-1]
         if np.any(xs < lo) or np.any(xs > hi):
             raise ValueError(f"evaluation point outside span [{lo}, {hi}]")
-        idx = np.searchsorted(self.breakpoints, xs, side="right") - 1
+        flat = xs.ravel()
+        idx = np.searchsorted(self.breakpoints, flat, side="right") - 1
         idx = np.clip(idx, 0, len(self.pieces) - 1)
-        out = np.empty_like(xs)
-        for i, piece in enumerate(self.pieces):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = piece.evaluate(xs[mask])
-        return out
+        order = np.argsort(idx, kind="stable")
+        bounds = np.searchsorted(idx[order], np.arange(len(self.pieces) + 1)).tolist()
+        out = np.empty_like(flat)
+        for i in np.flatnonzero(np.diff(bounds)).tolist():
+            rows = order[bounds[i] : bounds[i + 1]]
+            out[rows] = self.pieces[i].evaluate(flat[rows])
+        return out.reshape(xs.shape)
 
     @property
     def n_params(self) -> int:

@@ -12,7 +12,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as _poly
 
 from . import linalg
 from .core import (
@@ -49,18 +48,6 @@ def chebyshev_interpolate(f: TargetFunction, n: int, interval: Interval = Interv
     return Barycentric.fit(f.sample(nodes))
 
 
-def _piece_from_moments(x0, x1, y0, y1, m0, m1) -> BasisPoly:
-    h = x1 - x0
-    X = _poly.Polynomial([0.0, 1.0])
-    p = (
-        m0 * (x1 - X) ** 3 / (6 * h)
-        + m1 * (X - x0) ** 3 / (6 * h)
-        + (y0 / h - m0 * h / 6) * (x1 - X)
-        + (y1 / h - m1 * h / 6) * (X - x0)
-    )
-    return BasisPoly(Basis.MONOMIAL, p.coef, Interval(float(x0), float(x1)))
-
-
 def cubic_spline(samples: SampleSet) -> Piecewise:
     """Natural cubic spline through the samples via the tridiagonal moment system.
 
@@ -83,11 +70,24 @@ def cubic_spline(samples: SampleSet) -> Piecewise:
     m = np.zeros(n)
     if n > 2:
         m[1:-1] = linalg.solve_tridiagonal(sub, diag, sup, rhs)
-    pieces = [
-        _piece_from_moments(x[i], x[i + 1], y[i], y[i + 1], m[i], m[i + 1])
-        for i in range(n - 1)
-    ]
-    return Piecewise(breakpoints=x, pieces=tuple(pieces))
+    # Expand m0 (x1-X)^3/6h + m1 (X-x0)^3/6h + a (x1-X) + b (X-x0) on every
+    # piece [x0, x1] at once into monomial coefficients c0 + c1 X + c2 X^2 + c3 X^3.
+    x0, x1, m0, m1 = x[:-1], x[1:], m[:-1], m[1:]
+    a = y[:-1] / h - m0 * h / 6.0
+    b = y[1:] / h - m1 * h / 6.0
+    coeffs = np.column_stack(
+        [
+            (m0 * x1**3 - m1 * x0**3) / (6.0 * h) + a * x1 - b * x0,
+            (m1 * x0**2 - m0 * x1**2) / (2.0 * h) + b - a,
+            (m0 * x1 - m1 * x0) / (2.0 * h),
+            (m1 - m0) / (6.0 * h),
+        ]
+    )
+    knots = x.tolist()
+    pieces = tuple(
+        BasisPoly(Basis.MONOMIAL, row, Interval(lo, hi)) for row, lo, hi in zip(coeffs, knots[:-1], knots[1:])
+    )
+    return Piecewise(breakpoints=x, pieces=pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from runge_lab import core
 from runge_lab.core import (
     Barycentric,
     Basis,
@@ -15,6 +16,7 @@ from runge_lab.core import (
     evaluate,
     runge,
 )
+from runge_lab.nodes import chebyshev_lobatto
 
 
 def test_runge_values():
@@ -100,6 +102,26 @@ def test_barycentric_reproduces_all_ordinates_bit_exactly(ys):
     assert np.array_equal(out, np.asarray(ys, dtype=float))
 
 
+def test_barycentric_blocks_keep_node_hits_and_match_scipy():
+    from scipy.interpolate import BarycentricInterpolator
+
+    n = 1000
+    xs = chebyshev_lobatto(n - 1).xs
+    b = Barycentric.fit(SampleSet(NodeSet(Interval(), xs), runge(xs)))
+    block = max(1, core._EVAL_BLOCK // n)
+    grid = np.linspace(-0.999, 0.999, 4 * block)  # at least three blocks
+    hit_at = [5, block + 7, 3 * block + 1]  # node abscissae in three different blocks
+    hit_nodes = [3, 500, 998]
+    grid[hit_at] = xs[hit_nodes]
+    out = evaluate(b, grid)
+    assert np.array_equal(out[hit_at], b.ys[hit_nodes])
+    rest = np.setdiff1d(np.arange(len(grid)), hit_at)
+    want = BarycentricInterpolator(xs, b.ys)(grid[rest])
+    assert np.max(np.abs(out[rest] - want)) <= 1e-9
+    empty = evaluate(b, np.array([]))
+    assert empty.shape == (0,)
+
+
 def test_barycentric_weight_invariants():
     xs = np.linspace(-1, 1, 21)
     w = barycentric_weights(xs)
@@ -116,6 +138,24 @@ def test_piecewise_dispatch_and_domain_error():
     assert out == pytest.approx([-0.5, 1.0, 1.0])  # 0.0 belongs to the right piece
     with pytest.raises(ValueError):
         evaluate(pw, [1.5])
+
+    # Shuffled points in every piece, on every breakpoint and at the right
+    # endpoint, against a point-by-point dispatch. The pieces differ on either
+    # side of every breakpoint, so a point sent to the wrong piece shows.
+    breaks = np.array([-1.0, -0.4, 0.1, 0.5, 1.0])
+    pieces = tuple(BasisPoly(Basis.MONOMIAL, [10.0 * i, 1.0 + i]) for i in range(len(breaks) - 1))
+    pw = Piecewise(breaks, pieces)
+    xs = np.concatenate([np.linspace(-1.0, 1.0, 37), breaks, breaks, [1.0]])
+    np.random.default_rng(3).shuffle(xs)
+
+    def pointwise(x):
+        # left-closed/right-open pieces, the last one closed at the right endpoint
+        i = min(int(np.flatnonzero(breaks <= x)[-1]), len(pieces) - 1)
+        return pieces[i].evaluate(np.array([x]))[0]
+
+    want = [pointwise(x) for x in xs]
+    assert np.array_equal(evaluate(pw, xs), want)
+    assert np.array_equal(evaluate(pw, xs.reshape(3, -1)), np.reshape(want, (3, -1)))
 
 
 def test_piecewise_validation():

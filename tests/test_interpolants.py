@@ -9,6 +9,7 @@ from runge_lab.core import (
     Basis,
     BasisPoly,
     Interval,
+    NodeSet,
     RUNGE,
     SampleSet,
     TargetFunction,
@@ -111,6 +112,19 @@ def test_spline_c2_at_interior_knots():
             left = P.polyval(knot, P.polyder(s.pieces[i - 1].coeffs, order)) if order else P.polyval(knot, s.pieces[i - 1].coeffs)
             right = P.polyval(knot, P.polyder(s.pieces[i].coeffs, order)) if order else P.polyval(knot, s.pieces[i].coeffs)
             assert abs(left - right) < 1e-8 * max(max_d2, 1.0)
+
+
+def test_spline_matches_scipy_on_many_jittered_knots():
+    from scipy.interpolate import CubicSpline
+
+    n = 1000
+    knots = np.linspace(-1, 1, n)
+    gaps = np.diff(knots)
+    knots[1:-1] += np.random.default_rng(11).uniform(-0.3, 0.3, n - 2) * np.minimum(gaps[:-1], gaps[1:])
+    s = cubic_spline(RUNGE.sample(NodeSet(Interval(), knots)))
+    want = CubicSpline(knots, RUNGE(knots), bc_type="natural")
+    xs = np.concatenate([np.linspace(-1, 1, 2001), knots, 0.5 * (knots[:-1] + knots[1:])])
+    assert np.max(np.abs(s.evaluate(xs) - want(xs))) <= 1e-9
 
 
 def test_spline_needs_three_samples():
