@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """Print a SHA-256 manifest of the program's user-visible outputs.
 
-Runs ``runge-lab --svg figure all`` and ``runge-lab list-methods`` from the
-``src/`` of the checkout this script sits in, then prints one line
-``<sha256>  <name>`` for every file the figure command wrote (named by its
-path under the output directory) and one for the stdout of ``list-methods``.
-Run it before and after a refactor and ``diff`` the two manifests; a line that
-differs names an output that changed.
+Runs, from the ``src/`` of the checkout this script sits in,
+``runge-lab --svg figure all``, ``runge-lab --svg run --method M`` for every
+registered method ``M`` (into ``run/`` under the output directory) and
+``runge-lab list-methods``. It then prints one line ``<sha256>  <name>`` for
+every file those commands wrote (named by its path under the output
+directory), one for the stdout of each ``run`` (named ``run/M.stdout``, with
+the output directory written as ``<out>``) and one for the stdout of
+``list-methods``. Run it before and after a refactor and ``diff`` the two
+manifests; a line that differs names an output that changed.
 
     python3 scripts/hash_outputs.py > before.txt
     python3 scripts/hash_outputs.py --out kept/ > after.txt
 
-With ``--out`` the figure files stay in that directory for a closer look;
-without it they go to a temporary directory that is removed afterwards.
+With ``--out`` the files stay in that directory for a closer look; without it
+they go to a temporary directory that is removed afterwards.
 """
 
 import argparse
@@ -24,6 +27,9 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from runge_lab.bench import METHODS  # noqa: E402
 
 
 def _cli(*argv: str) -> bytes:
@@ -34,21 +40,29 @@ def _cli(*argv: str) -> bytes:
     return done.stdout
 
 
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def manifest(out_dir: Path) -> list[tuple[str, str]]:
     """(sha256 hex digest, name) for every output, sorted by name."""
     _cli("--out", str(out_dir), "--svg", "figure", "all")
-    rows = [
-        (hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out_dir).as_posix())
+    rows = []
+    for method in sorted(METHODS):
+        stdout = _cli("--out", str(out_dir / "run"), "--svg", "run", "--method", method)
+        rows.append((_sha(stdout.replace(str(out_dir).encode(), b"<out>")), f"run/{method}.stdout"))
+    rows += [
+        (_sha(path.read_bytes()), path.relative_to(out_dir).as_posix())
         for path in out_dir.rglob("*")
         if path.is_file()
     ]
-    rows.append((hashlib.sha256(_cli("list-methods")).hexdigest(), "list-methods.stdout"))
+    rows.append((_sha(_cli("list-methods")), "list-methods.stdout"))
     return sorted(rows, key=lambda row: row[1])
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--out", help="keep the figure files in this directory (must be empty or absent)")
+    parser.add_argument("--out", help="keep the output files in this directory (must be empty or absent)")
     args = parser.parse_args()
     if args.out:
         out_dir = Path(args.out)

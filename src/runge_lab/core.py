@@ -29,6 +29,21 @@ class Basis(enum.Enum):
     CHEBYSHEV_T = "chebyshev_t"
     LEGENDRE = "legendre"
 
+    def vander(self, t, degree: int) -> np.ndarray:
+        """Column j holds basis function j at the unit coordinates t."""
+        return _BASIS_FUNCTIONS[self][0](t, degree)
+
+    def val(self, t, coeffs) -> np.ndarray:
+        """Sum of coeffs[j] times basis function j at the unit coordinates t."""
+        return _BASIS_FUNCTIONS[self][1](t, coeffs)
+
+
+_BASIS_FUNCTIONS = {  # basis -> (vander, val)
+    Basis.MONOMIAL: (_poly.polyvander, _poly.polyval),
+    Basis.CHEBYSHEV_T: (_cheb.chebvander, _cheb.chebval),
+    Basis.LEGENDRE: (_leg.legvander, _leg.legval),
+}
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -44,8 +59,8 @@ class Interval:
         return self.hi - self.lo
 
     def to_unit(self, x):
-        """Affine map of x from [lo, hi] onto [-1, 1]."""
-        return (2.0 * (np.asarray(x, dtype=float) - self.lo) / self.width) - 1.0
+        """Affine map of x from [lo, hi] onto [-1, 1]; exactly the identity on [-1, 1]."""
+        return (np.asarray(x, dtype=float) - (self.lo + self.hi) / 2.0) * (2.0 / self.width)
 
     def from_unit(self, t):
         """Inverse of :meth:`to_unit`."""
@@ -159,8 +174,8 @@ class Approximant:
 
 @dataclass(frozen=True)
 class BasisPoly(Approximant):
-    """Polynomial in a fixed basis. Orthogonal bases live on [-1, 1] behind an
-    affine pre-map of the interval; the monomial basis uses raw coordinates."""
+    """Polynomial in a fixed basis of the unit coordinate t = interval.to_unit(x), so
+    its coefficients and the penalties fits put on them mean the same on any interval."""
 
     basis: Basis
     coeffs: np.ndarray
@@ -172,13 +187,7 @@ class BasisPoly(Approximant):
             raise ValueError("coefficient vector must be non-empty")
 
     def evaluate(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if self.basis is Basis.MONOMIAL:
-            return _poly.polyval(xs, self.coeffs)
-        t = self.interval.to_unit(xs)
-        if self.basis is Basis.CHEBYSHEV_T:
-            return _cheb.chebval(t, self.coeffs)
-        return _leg.legval(t, self.coeffs)
+        return self.basis.val(self.interval.to_unit(xs), self.coeffs)
 
     @property
     def n_params(self) -> int:
@@ -239,17 +248,18 @@ class Barycentric(Approximant):
 
     def evaluate(self, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        out = np.empty_like(xs)
+        flat = xs.ravel()
+        out = np.empty_like(flat)
         block = max(1, _EVAL_BLOCK // len(self.nodes))
-        for start in range(0, len(xs), block):
-            diff = xs[start : start + block, None] - self.nodes.xs[None, :]
+        for start in range(0, len(flat), block):
+            diff = flat[start : start + block, None] - self.nodes.xs[None, :]
             hit_rows, hit_cols = np.nonzero(diff == 0.0)
             diff[hit_rows, hit_cols] = 1.0  # dummy, overwritten below
             terms = self.weights[None, :] / diff
             part = (terms @ self.ys) / terms.sum(axis=1)
             part[hit_rows] = self.ys[hit_cols]
             out[start : start + block] = part
-        return out
+        return out.reshape(xs.shape)
 
     @property
     def n_params(self) -> int:

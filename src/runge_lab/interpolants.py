@@ -54,14 +54,15 @@ def cubic_spline(samples: SampleSet) -> Piecewise:
     The natural end condition sets S'' = 0 at both ends. For a smooth target
     the error is O(h^4) in the interior, but O(h^2) within a few knots of an
     end where f'' != 0 there, so node doubling divides the interior error by
-    about 16 and the error near such an end by about 4.
+    about 16 and the error near such an end by about 4. The breakpoints are
+    the knots in x; each piece is a cubic in the unit coordinate t.
     """
     if len(samples) < 3:
         raise ValueError("cubic spline needs at least three samples")
-    x = samples.xs
+    t = samples.interval.to_unit(samples.xs)
     y = samples.ys
-    h = np.diff(x)
-    n = len(x)
+    h = np.diff(t)
+    n = len(t)
     # interior second-derivative moments; natural ends are zero
     diag = (h[:-1] + h[1:]) / 3.0
     sub = h[1:-1] / 6.0
@@ -71,8 +72,8 @@ def cubic_spline(samples: SampleSet) -> Piecewise:
     if n > 2:
         m[1:-1] = linalg.solve_tridiagonal(sub, diag, sup, rhs)
     # Expand m0 (x1-X)^3/6h + m1 (X-x0)^3/6h + a (x1-X) + b (X-x0) on every
-    # piece [x0, x1] at once into monomial coefficients c0 + c1 X + c2 X^2 + c3 X^3.
-    x0, x1, m0, m1 = x[:-1], x[1:], m[:-1], m[1:]
+    # piece [x0, x1] of t at once into monomial coefficients c0 + c1 X + c2 X^2 + c3 X^3.
+    x0, x1, m0, m1 = t[:-1], t[1:], m[:-1], m[1:]
     a = y[:-1] / h - m0 * h / 6.0
     b = y[1:] / h - m1 * h / 6.0
     coeffs = np.column_stack(
@@ -83,11 +84,8 @@ def cubic_spline(samples: SampleSet) -> Piecewise:
             (m1 - m0) / (6.0 * h),
         ]
     )
-    knots = x.tolist()
-    pieces = tuple(
-        BasisPoly(Basis.MONOMIAL, row, Interval(lo, hi)) for row, lo, hi in zip(coeffs, knots[:-1], knots[1:])
-    )
-    return Piecewise(breakpoints=x, pieces=pieces)
+    pieces = tuple(BasisPoly(Basis.MONOMIAL, row, samples.interval) for row in coeffs)
+    return Piecewise(breakpoints=samples.xs, pieces=pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +112,7 @@ def fit_regularized(
 
     With no penalty this is the plain (overfit-prone) least-squares baseline;
     ridge takes the closed form, lasso and elastic net run coordinate descent.
+    The monomials and ``alpha`` act in the unit coordinate t (see BasisPoly).
     """
     penalty = PenaltyKind(penalty)
     if degree < 1:
@@ -153,7 +152,8 @@ def tikhonov_fit(
     lam: float = 0.01,
     operator: TikhonovOperator | str = TikhonovOperator.IDENTITY,
 ) -> BasisPoly:
-    """Stacked least squares [A; L] c = [y; 0] with L = lam*I or lam*D2."""
+    """Stacked least squares [A; L] c = [y; 0] with L = lam*I or lam*D2, where
+    c holds the monomial coefficients of the unit coordinate t."""
     operator = TikhonovOperator(operator)
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -177,6 +177,9 @@ def tikhonov_fit(
 
 @dataclass(frozen=True)
 class EfciConfig:
+    """``epsilon`` is each end band's width in x units; ``constraint_weight``
+    weights the curvature d^2p/dt^2 in the unit coordinate t."""
+
     degree: int = 10
     m: int = 4
     epsilon: float = 0.1
@@ -192,13 +195,6 @@ class EfciConfig:
             raise ValueError("constraint_weight must be > 0")
 
 
-def _second_derivative_row(x: float, degree: int) -> np.ndarray:
-    row = np.zeros(degree + 1)
-    j = np.arange(2, degree + 1)
-    row[2:] = j * (j - 1) * x ** (j - 2)
-    return row
-
-
 def _efc_positions(interval: Interval, m: int, epsilon: float) -> np.ndarray:
     half = m // 2
     left = np.linspace(interval.lo, interval.lo + epsilon, half)
@@ -210,7 +206,8 @@ def _efci_single(samples: SampleSet, f: TargetFunction, cfg: EfciConfig, m: int)
     interval = samples.interval
     positions = _efc_positions(interval, m, cfg.epsilon)
     A = linalg.design_matrix(samples.nodes, cfg.degree, Basis.MONOMIAL)
-    C = np.array([_second_derivative_row(x, cfg.degree) for x in positions])
+    j = np.arange(cfg.degree + 1)  # C[i, j] = d^2/dt^2 of t^j at the i-th position
+    C = j * (j - 1) * interval.to_unit(positions)[:, None] ** np.maximum(j - 2, 0)
     w = np.sqrt(cfg.constraint_weight)
     stacked = np.vstack([A, w * C])
     rhs = np.concatenate([samples.ys, np.zeros(len(positions))])
@@ -374,8 +371,8 @@ def svd_truncated_fit(
     threshold: float = 1e-10,
     basis: Basis = Basis.LEGENDRE,
 ) -> BasisPoly:
-    """Design matrix in the chosen basis, solved through the relative-threshold
-    truncated pseudo-inverse."""
+    """Design matrix in the chosen basis of the unit coordinate t, solved
+    through the relative-threshold truncated pseudo-inverse."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if basis is Basis.CHEBYSHEV_T:

@@ -7,9 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial import legendre as _leg
-from numpy.polynomial import polynomial as _poly
 
 from .core import Basis, NodeSet
 
@@ -19,18 +16,11 @@ class NumericError(RuntimeError):
 
 
 def design_matrix(nodes: NodeSet, degree: int, basis: Basis = Basis.MONOMIAL) -> np.ndarray:
-    """(len(nodes)) x (degree+1) matrix; column j holds basis_j at each node.
-
-    Chebyshev/Legendre columns are evaluated after the affine map to [-1, 1].
-    """
+    """(len(nodes)) x (degree+1) matrix; column j holds basis_j at each node's
+    unit coordinate t = nodes.interval.to_unit(x)."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    if basis is Basis.MONOMIAL:
-        return _poly.polyvander(nodes.xs, degree)
-    t = nodes.interval.to_unit(nodes.xs)
-    if basis is Basis.CHEBYSHEV_T:
-        return _cheb.chebvander(t, degree)
-    return _leg.legvander(t, degree)
+    return basis.vander(nodes.interval.to_unit(nodes.xs), degree)
 
 
 def lstsq(A: np.ndarray, y: np.ndarray) -> np.ndarray:

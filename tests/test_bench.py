@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from runge_lab import RUNGE, Interval, bench, chebyshev_roots, equispaced, interpolants
+from runge_lab import (
+    RUNGE,
+    Interval,
+    TargetFunction,
+    bench,
+    chebyshev_roots,
+    equispaced,
+    error_report,
+    interpolants,
+    runge,
+)
 from runge_lab.bench import (
     Curve,
     ExperimentConfig,
@@ -78,6 +90,35 @@ def test_run_marks_only_the_nodes_the_fit_used():
     assert np.array_equal(marker.xs, chebyshev_roots(10).xs)
     # TISI samples each band on its own grid, so there is no one sample set to mark
     assert run_experiment(ExperimentConfig(method="tisi")).node_markers == []
+
+
+# EFCI's and TISI's epsilon is a band width in x; every other parameter acts in
+# the unit coordinate of the interval, so only epsilon scales with the interval.
+_EPSILON = {"efci": interpolants.EfciConfig().epsilon, "tisi": interpolants.TisiConfig().epsilon}
+_INVARIANCE_CASES = [pytest.param(method, {}, id=method) for method in sorted(bench.METHODS)] + [
+    pytest.param("efci", {"search": True}, id="efci-search"),
+    pytest.param("tisi", {"improved": True}, id="tisi-improved"),
+    pytest.param("svd", {"basis": "monomial"}, id="svd-monomial"),
+]
+
+
+def _max_abs_on(interval, method, params):
+    """Max error of the registered fit of Runge stretched onto the interval."""
+    half = interval.width / 2
+    centre = interval.lo + half
+    f = TargetFunction("runge", lambda x: runge((x - centre) / half))
+    if method in _EPSILON:
+        params = {**params, "epsilon": _EPSILON[method] * half}
+    approx, _ = bench._fit(bench.FitSpec(method, method, params), f, interval)
+    return error_report(approx, f, interval).max_abs
+
+
+@pytest.mark.parametrize("method,params", _INVARIANCE_CASES)
+@given(shift=st.floats(-1e3, 1e3), width=st.floats(1e-3, 1e3))
+@settings(max_examples=10, deadline=None)
+def test_fit_is_shift_and_scale_invariant(method, params, shift, width):
+    want = _max_abs_on(Interval(), method, params)
+    assert _max_abs_on(Interval(shift, shift + width), method, params) == pytest.approx(want, rel=1e-6)
 
 
 def test_run_figure_unsupported_lists_ids():

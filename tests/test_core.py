@@ -38,6 +38,8 @@ def test_interval_maps_roundtrip():
     x = np.array([0.0, 1.0, 4.0])
     assert np.allclose(iv.from_unit(iv.to_unit(x)), x)
     assert np.allclose(iv.to_unit(x), [-1.0, -0.5, 1.0])
+    unit = np.array([-1.0, -0.5, 0.1, -0.1, 1e-17, 0.0, 1.0])
+    assert np.array_equal(Interval().to_unit(unit), unit)  # exactly the identity on [-1, 1]
 
 
 def test_nodeset_validation():
@@ -118,6 +120,7 @@ def test_barycentric_blocks_keep_node_hits_and_match_scipy():
     rest = np.setdiff1d(np.arange(len(grid)), hit_at)
     want = BarycentricInterpolator(xs, b.ys)(grid[rest])
     assert np.max(np.abs(out[rest] - want)) <= 1e-9
+    assert np.array_equal(evaluate(b, grid.reshape(4, block)), out.reshape(4, block))
     empty = evaluate(b, np.array([]))
     assert empty.shape == (0,)
 

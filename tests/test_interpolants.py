@@ -14,6 +14,7 @@ from runge_lab.core import (
     SampleSet,
     TargetFunction,
     polynomial_target,
+    runge,
 )
 from runge_lab.interpolants import (
     BandStrategy,
@@ -121,10 +122,13 @@ def test_spline_matches_scipy_on_many_jittered_knots():
     knots = np.linspace(-1, 1, n)
     gaps = np.diff(knots)
     knots[1:-1] += np.random.default_rng(11).uniform(-0.3, 0.3, n - 2) * np.minimum(gaps[:-1], gaps[1:])
-    s = cubic_spline(RUNGE.sample(NodeSet(Interval(), knots)))
-    want = CubicSpline(knots, RUNGE(knots), bc_type="natural")
-    xs = np.concatenate([np.linspace(-1, 1, 2001), knots, 0.5 * (knots[:-1] + knots[1:])])
-    assert np.max(np.abs(s.evaluate(xs) - want(xs))) <= 1e-9
+    for centre in (0.0, 101.0):  # the same knots on [-1, 1] and on [100, 102]
+        xk = knots + centre
+        f = TargetFunction("runge", lambda x: runge(x - centre))
+        s = cubic_spline(f.sample(NodeSet(Interval(centre - 1, centre + 1), xk)))
+        want = CubicSpline(xk, f(xk), bc_type="natural")
+        xs = np.concatenate([np.linspace(centre - 1, centre + 1, 2001), xk, 0.5 * (xk[:-1] + xk[1:])])
+        assert np.max(np.abs(s.evaluate(xs) - want(xs))) <= 1e-9
 
 
 def test_spline_needs_three_samples():
