@@ -2,14 +2,16 @@
 """Print a SHA-256 manifest of the program's user-visible outputs.
 
 Runs, from the ``src/`` of the checkout this script sits in,
-``runge-lab --svg figure all``, ``runge-lab --svg run --method M`` for every
-registered method ``M`` (into ``run/`` under the output directory) and
+``runge-lab --svg figure all``, ``runge-lab --svg run --method M`` and
+``runge-lab sweep --method M --grid 5,11,21`` for every registered method
+``M`` (into ``run/`` and ``sweep/`` under the output directory) and
 ``runge-lab list-methods``. It then prints one line ``<sha256>  <name>`` for
 every file those commands wrote (named by its path under the output
-directory), one for the stdout of each ``run`` (named ``run/M.stdout``, with
-the output directory written as ``<out>``) and one for the stdout of
-``list-methods``. Run it before and after a refactor and ``diff`` the two
-manifests; a line that differs names an output that changed.
+directory), one for the stdout of each ``run`` and ``sweep`` (named
+``run/M.stdout`` and ``sweep/M.stdout``, with the output directory written as
+``<out>``) and one for the stdout of ``list-methods``. Run it before and after
+a refactor and ``diff`` the two manifests; a line that differs names an output
+that changed.
 
     python3 scripts/hash_outputs.py > before.txt
     python3 scripts/hash_outputs.py --out kept/ > after.txt
@@ -48,9 +50,14 @@ def manifest(out_dir: Path) -> list[tuple[str, str]]:
     """(sha256 hex digest, name) for every output, sorted by name."""
     _cli("--out", str(out_dir), "--svg", "figure", "all")
     rows = []
+    commands = {
+        "run": ("--svg", "run", "--method"),
+        "sweep": ("sweep", "--grid", "5,11,21", "--method"),
+    }
     for method in sorted(METHODS):
-        stdout = _cli("--out", str(out_dir / "run"), "--svg", "run", "--method", method)
-        rows.append((_sha(stdout.replace(str(out_dir).encode(), b"<out>")), f"run/{method}.stdout"))
+        for sub, argv in commands.items():
+            stdout = _cli("--out", str(out_dir / sub), *argv, method)
+            rows.append((_sha(stdout.replace(str(out_dir).encode(), b"<out>")), f"{sub}/{method}.stdout"))
     rows += [
         (_sha(path.read_bytes()), path.relative_to(out_dir).as_posix())
         for path in out_dir.rglob("*")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -378,34 +379,47 @@ def _maybe_write(bundle: ReportBundle, output_dir: str | None, svg: bool, name: 
         emit_svg(bundle, out / f"{name}.svg")
 
 
-def emit_csv(bundle: ReportBundle, path) -> None:
-    """Curve table `x,<label>,...` with shortest round-trip decimals, plus a
-    sibling `<path>.report.csv` carrying the error reports."""
-    path = Path(path)
-    curves = bundle.curves
-    if curves:
-        base_xs = curves[0].xs
-        for c in curves[1:]:
-            if len(c.xs) != len(base_xs) or not np.array_equal(c.xs, base_xs):
-                raise ValueError("emit_csv requires all curves on a shared grid")
-    import io
-
+def _write_csv(path: Path, rows, body: str = "") -> None:
+    """Atomically write `rows` through csv.writer, which quotes labels and
+    messages as needed and writes a float as its shortest round-trip repr,
+    followed by the preformatted `body`."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x"] + [c.label for c in curves])
-    if curves:
-        for i in range(len(base_xs)):
-            writer.writerow([repr(float(base_xs[i]))] + [repr(float(c.ys[i])) for c in curves])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    buf.write(body)
     _atomic_write(path, buf.getvalue().encode("utf-8"))
 
-    rbuf = io.StringIO()
-    writer = csv.writer(rbuf, lineterminator="\n")
-    writer.writerow(["method", "n_params", "max_abs", "rms", "argmax_x", "endpoint_max_abs"])
-    for r in bundle.reports:
-        writer.writerow(
-            [r.method, r.n_params, repr(r.max_abs), repr(r.rms), repr(r.argmax_x), repr(r.endpoint_max_abs)]
-        )
-    _atomic_write(path.with_name(path.name + ".report.csv"), rbuf.getvalue().encode("utf-8"))
+
+def emit_csv(bundle: ReportBundle, path) -> None:
+    """Curve table `x,<label>,...` with shortest round-trip decimals, plus a
+    sibling `<path>.report.csv` carrying the error reports.
+
+    One pass: the table is one `column_stack` of the grid and every curve,
+    converted to Python floats at once, and each row is its cells' `repr`
+    joined by commas; only the header and the report rows go through
+    csv.writer. Cost is one repr per cell and one join per row."""
+    path = Path(path)
+    xs = bundle.curves[0].xs if bundle.curves else np.empty(0)
+    if any(not np.array_equal(c.xs, xs) for c in bundle.curves[1:]):
+        raise ValueError("emit_csv requires all curves on a shared grid")
+    # astype(float): an integer-dtype curve is written as 2.0, not 2
+    table = np.column_stack([xs, *(c.ys for c in bundle.curves)]).astype(float).tolist()
+    body = "".join(",".join(map(repr, row)) + "\n" for row in table)
+    _write_csv(path, [["x", *(c.label for c in bundle.curves)]], body)
+    header = [f.name for f in dataclasses.fields(ErrorReport)]
+    reports = map(dataclasses.astuple, bundle.reports)
+    _write_csv(path.with_name(path.name + ".report.csv"), [header, *reports])
+
+
+def emit_sweep_csv(entries: list[metrics.StudyEntry], path) -> None:
+    """One row `param,max_abs,rms,endpoint_max_abs,error` per sweep entry; a
+    failed fit leaves the metrics empty and carries its error message."""
+    rows = [
+        [e.param, e.report.max_abs, e.report.rms, e.report.endpoint_max_abs, ""]
+        if e.report is not None
+        else [e.param, "", "", "", e.error]
+        for e in entries
+    ]
+    _write_csv(Path(path), [["param", "max_abs", "rms", "endpoint_max_abs", "error"], *rows])
 
 
 _PALETTE = ("#000000", "#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
@@ -415,92 +429,69 @@ _VIEW_W, _VIEW_H = 800, 500
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 20, 20, 40
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+def _padded(v: np.ndarray) -> tuple[float, float]:
+    """(min, max) of v widened by 5% of its range a side, or by 1 if v is constant."""
+    lo, hi = float(v.min()), float(v.max())
+    pad = 1.0 if hi == lo else 0.05 * (hi - lo)
+    return lo - pad, hi + pad
 
 
 def emit_svg(bundle: ReportBundle, path) -> None:
     """Standalone SVG 1.1, 800x500, axes auto-scaled with 5% padding, one
     polyline per curve, legend, circle markers for sample nodes. Byte output is
-    deterministic for identical input."""
+    deterministic for identical input.
+
+    One pass per curve and marker set: its points are scaled to the view by
+    one numpy expression and written by one %-format of the whole polyline or
+    circle set, together with its legend entry. Cost is one float format per
+    coordinate."""
     if not bundle.curves:
         raise ValueError("emit_svg needs at least one curve")
-    path = Path(path)
-    all_x = np.concatenate([c.xs for c in bundle.curves] + [m.xs for m in bundle.node_markers])
-    all_y = np.concatenate([c.ys for c in bundle.curves] + [m.ys for m in bundle.node_markers])
-    x_lo, x_hi = float(all_x.min()), float(all_x.max())
-    y_lo, y_hi = float(all_y.min()), float(all_y.max())
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    else:
-        pad = 0.05 * (x_hi - x_lo)
-        x_lo, x_hi = x_lo - pad, x_hi + pad
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
-    else:
-        pad = 0.05 * (y_hi - y_lo)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
-
+    series = [*bundle.curves, *bundle.node_markers]
+    x_lo, x_hi = _padded(np.concatenate([s.xs for s in series]))
+    y_lo, y_hi = _padded(np.concatenate([s.ys for s in series]))
     plot_w = _VIEW_W - _MARGIN_L - _MARGIN_R
     plot_h = _VIEW_H - _MARGIN_T - _MARGIN_B
+    # x maps [x_lo, x_hi] onto [0, plot_w] and y maps [y_hi, y_lo] onto [0, plot_h]:
+    # (y - y_hi) / (y_lo - y_hi) negates both terms of (y_hi - y) / (y_hi - y_lo), exactly.
+    origin, span = np.array([x_lo, y_hi]), np.array([x_hi - x_lo, y_lo - y_hi])
 
-    def sx(v):
-        return _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * plot_w
-
-    def sy(v):
-        return _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
-
-    parts = [
+    shapes = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_VIEW_W}" height="{_VIEW_H}" '
         f'viewBox="0 0 {_VIEW_W} {_VIEW_H}">\n',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="white" stroke="#333333" stroke-width="1"/>\n',
-        f'<text x="{_MARGIN_L}" y="{_VIEW_H - 10}" font-size="12" font-family="monospace">{_fmt(x_lo)}</text>\n',
+        f'<text x="{_MARGIN_L}" y="{_VIEW_H - 10}" font-size="12" font-family="monospace">{x_lo:.2f}</text>\n',
         f'<text x="{_VIEW_W - _MARGIN_R - 40}" y="{_VIEW_H - 10}" font-size="12" '
-        f'font-family="monospace">{_fmt(x_hi)}</text>\n',
-        f'<text x="5" y="{_MARGIN_T + 12}" font-size="12" font-family="monospace">{_fmt(y_hi)}</text>\n',
-        f'<text x="5" y="{_VIEW_H - _MARGIN_B}" font-size="12" font-family="monospace">{_fmt(y_lo)}</text>\n',
+        f'font-family="monospace">{x_hi:.2f}</text>\n',
+        f'<text x="5" y="{_MARGIN_T + 12}" font-size="12" font-family="monospace">{y_hi:.2f}</text>\n',
+        f'<text x="5" y="{_VIEW_H - _MARGIN_B}" font-size="12" font-family="monospace">{y_lo:.2f}</text>\n',
     ]
-    for i, c in enumerate(bundle.curves):
-        color = _PALETTE[i % len(_PALETTE)]
-        dash = _DASHES[i % len(_DASHES)]
-        pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(c.xs, c.ys))
-        dash_attr = "" if dash == "none" else f' stroke-dasharray="{dash}"'
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash_attr} points="{pts}"/>\n'
-        )
-    for j, mk in enumerate(bundle.node_markers):
-        color = _PALETTE[(len(bundle.curves) + j) % len(_PALETTE)]
-        for x, y in zip(mk.xs, mk.ys):
-            parts.append(
-                f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3" fill="{color}" stroke="none"/>\n'
-            )
-    # legend, top-right inside the plot area
-    lx = _VIEW_W - _MARGIN_R - 220
-    ly = _MARGIN_T + 14
-    entries = [(c.label, _PALETTE[i % len(_PALETTE)], _DASHES[i % len(_DASHES)], "line")
-               for i, c in enumerate(bundle.curves)]
-    entries += [
-        (m.label, _PALETTE[(len(bundle.curves) + j) % len(_PALETTE)], "none", "dot")
-        for j, m in enumerate(bundle.node_markers)
-    ]
-    for label, color, dash, kind in entries:
-        if kind == "line":
+    legend = []
+    lx = _VIEW_W - _MARGIN_R - 220  # legend, top-right inside the plot area
+    for i, s in enumerate(series):
+        color, ly = _PALETTE[i % len(_PALETTE)], _MARGIN_T + 14 + 16 * i
+        xy = np.column_stack([s.xs, s.ys])
+        pts = tuple(((_MARGIN_L, _MARGIN_T) + (xy - origin) / span * (plot_w, plot_h)).ravel().tolist())
+        if i < len(bundle.curves):
+            dash = _DASHES[i % len(_DASHES)]
             dash_attr = "" if dash == "none" else f' stroke-dasharray="{dash}"'
-            parts.append(
+            points = " ".join(["%.2f,%.2f"] * len(xy)) % pts
+            shapes.append(
+                f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash_attr} points="{points}"/>\n'
+            )
+            legend.append(
                 f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 30}" y2="{ly - 4}" stroke="{color}" '
                 f'stroke-width="1.5"{dash_attr}/>\n'
             )
         else:
-            parts.append(f'<circle cx="{lx + 15}" cy="{ly - 4}" r="3" fill="{color}"/>\n')
-        label_esc = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        parts.append(
-            f'<text x="{lx + 36}" y="{ly}" font-size="12" font-family="monospace">{label_esc}</text>\n'
-        )
-        ly += 16
-    parts.append("</svg>\n")
-    _atomic_write(path, "".join(parts).encode("utf-8"))
+            circle = f'<circle cx="%.2f" cy="%.2f" r="3" fill="{color}" stroke="none"/>\n'
+            shapes.append(circle * len(xy) % pts)
+            legend.append(f'<circle cx="{lx + 15}" cy="{ly - 4}" r="3" fill="{color}"/>\n')
+        label = s.label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        legend.append(f'<text x="{lx + 36}" y="{ly}" font-size="12" font-family="monospace">{label}</text>\n')
+    _atomic_write(Path(path), "".join([*shapes, *legend, "</svg>\n"]).encode("utf-8"))
 
 
 def read_curve_csv(path) -> list[Curve]:

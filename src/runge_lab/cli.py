@@ -98,8 +98,11 @@ def _cmd_run(args, out_dir):
     if args.config:
         file_params = _read_config_file(args.config)
         method = file_params.pop("method", method)
-        n_samples = int(file_params.pop("n_samples", n_samples))
-        degree = int(file_params.pop("degree", degree))
+        try:
+            n_samples = int(file_params.pop("n_samples", n_samples))
+            degree = int(file_params.pop("degree", degree))
+        except ValueError as exc:
+            raise UsageError(f"{args.config}: n_samples and degree must be integers ({exc})")
         params.update(file_params)
     if method is None:
         raise UsageError("run requires --method (or a config file with a method key)")
@@ -127,22 +130,11 @@ def _cmd_sweep(args, out_dir):
     if not grid:
         raise UsageError("--grid must name at least one sample count")
     entries = bench.sweep(args.method, grid, grid_size=args.grid_size)
-    import csv as _csv
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"sweep_{args.method}.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["param", "max_abs", "rms", "endpoint_max_abs", "error"])
-        for e in entries:
-            if e.report is not None:
-                writer.writerow([e.param, repr(e.report.max_abs), repr(e.report.rms),
-                                 repr(e.report.endpoint_max_abs), ""])
-                print(f"{args.method} n={e.param}: max_abs={e.report.max_abs:.6g}")
-            else:
-                writer.writerow([e.param, "", "", "", e.error])
-                print(f"{args.method} n={e.param}: FAILED ({e.error})")
+    path = Path(out_dir) / f"sweep_{args.method}.csv"
+    bench.emit_sweep_csv(entries, path)
+    for e in entries:
+        status = f"max_abs={e.report.max_abs:.6g}" if e.report is not None else f"FAILED ({e.error})"
+        print(f"{args.method} n={e.param}: {status}")
     print(f"outputs written to {path}")
 
 
@@ -163,6 +155,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out_dir = args.out or default_output_dir()
     try:
+        if args.grid_size < 2:
+            raise UsageError(f"--grid-size must be at least 2, got {args.grid_size}")
         if args.command == "figure":
             _cmd_figure(args, out_dir)
         elif args.command == "run":

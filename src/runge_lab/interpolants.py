@@ -247,11 +247,11 @@ def efci_fit(samples: SampleSet, f: TargetFunction, cfg: EfciConfig):
 # Mock-Chebyshev subset methods
 
 
-def mock_chebyshev_interpolate(full: SampleSet, m: int = 10, exclude_endpoints: bool = False) -> Barycentric:
+def mock_chebyshev_interpolate(full: SampleSet, m: int = 10) -> Barycentric:
     """Interpolate on the subset of the full grid nearest the Lobatto targets."""
     if len(full) < 2:
         raise ValueError("need at least two samples")
-    sel = mock_chebyshev_subset(full.nodes, m, exclude_endpoints=exclude_endpoints)
+    sel = mock_chebyshev_subset(full.nodes, m)
     idx = list(sel.indices)
     if len(idx) < 2:
         raise ValueError("mock-Chebyshev subset collapsed below two nodes")

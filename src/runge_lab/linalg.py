@@ -217,11 +217,11 @@ def elastic_net_cd(
     return CdResult(coeffs=w, converged=converged, n_sweeps=sweeps, objectives=np.asarray(objectives))
 
 
-def ridge_closed_form(A: np.ndarray, y: np.ndarray, alpha: float, n_scale: int | None = None) -> np.ndarray:
-    """Solve (A^T A + n_scale*alpha*I) c = A^T y by Cholesky.
+def ridge_closed_form(A: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
+    """Solve (A^T A + N*alpha*I) c = A^T y by Cholesky, N the number of rows.
 
-    n_scale defaults to the number of rows, matching the 1/2N data-term
-    normalization used by the coordinate-descent objective at rho = 0.
+    The factor N matches the 1/2N data-term normalization used by the
+    coordinate-descent objective at rho = 0.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -229,9 +229,7 @@ def ridge_closed_form(A: np.ndarray, y: np.ndarray, alpha: float, n_scale: int |
         raise ValueError("A must be non-empty with rows matching rhs length")
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    if n_scale is None:
-        n_scale = A.shape[0]
-    M = A.T @ A + n_scale * alpha * np.eye(A.shape[1])
+    M = A.T @ A + A.shape[0] * alpha * np.eye(A.shape[1])
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:

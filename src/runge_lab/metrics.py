@@ -36,7 +36,6 @@ def error_report(
     interval: Interval = Interval(),
     grid_size: int = DEFAULT_GRID_SIZE,
     method: str = "",
-    n_params: int | None = None,
 ) -> ErrorReport:
     """Sup/RMS error of the approximant against f on an equispaced grid, with
     the max location and the max over the outer 10% bands at each endpoint."""
@@ -49,7 +48,7 @@ def error_report(
     edge = (xs <= interval.lo + band) | (xs >= interval.hi - band)
     return ErrorReport(
         method=method,
-        n_params=n_params if n_params is not None else approx.n_params,
+        n_params=approx.n_params,
         max_abs=float(err[i_max]),
         rms=float(np.sqrt(np.mean(err**2))),
         argmax_x=float(xs[i_max]),

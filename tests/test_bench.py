@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from runge_lab import (
     RUNGE,
+    ErrorReport,
     Interval,
     TargetFunction,
     bench,
@@ -25,6 +26,7 @@ from runge_lab.bench import (
     run_experiment,
     run_figure,
 )
+from runge_lab.metrics import StudyEntry
 
 
 def _tiny_bundle(curves, markers=()):
@@ -231,6 +233,63 @@ def test_emit_svg_flat_curve_padding(tmp_path):
 def test_emit_svg_needs_curves():
     with pytest.raises(ValueError):
         emit_svg(_tiny_bundle([]), "x.svg")
+
+
+_GOLDEN_SVG = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="800" height="500" viewBox="0 0 800 500">
+<rect x="60" y="20" width="720" height="440" fill="white" stroke="#333333" stroke-width="1"/>
+<text x="60" y="490" font-size="12" font-family="monospace">-0.05</text>
+<text x="740" y="490" font-size="12" font-family="monospace">1.05</text>
+<text x="5" y="32" font-size="12" font-family="monospace">2.25</text>
+<text x="5" y="460" font-size="12" font-family="monospace">-3.25</text>
+<polyline fill="none" stroke="#000000" stroke-width="1.5" points="92.73,200.00 747.27,40.00"/>
+<polyline fill="none" stroke="#d62728" stroke-width="1.5" stroke-dasharray="8 4" points="92.73,120.00 747.27,440.00"/>
+<circle cx="92.73" cy="200.00" r="3" fill="#1f77b4" stroke="none"/>
+<circle cx="747.27" cy="40.00" r="3" fill="#1f77b4" stroke="none"/>
+<circle cx="420.00" cy="120.00" r="3" fill="#2ca02c" stroke="none"/>
+<line x1="560" y1="30" x2="590" y2="30" stroke="#000000" stroke-width="1.5"/>
+<text x="596" y="34" font-size="12" font-family="monospace">truth</text>
+<line x1="560" y1="46" x2="590" y2="46" stroke="#d62728" stroke-width="1.5" stroke-dasharray="8 4"/>
+<text x="596" y="50" font-size="12" font-family="monospace">fit, &lt;a&gt; &amp; b</text>
+<circle cx="575" cy="62" r="3" fill="#1f77b4"/>
+<text x="596" y="66" font-size="12" font-family="monospace">nodes</text>
+<circle cx="575" cy="78" r="3" fill="#2ca02c"/>
+<text x="596" y="82" font-size="12" font-family="monospace">efc &lt;pos&gt;</text>
+</svg>
+"""
+
+
+def test_emit_golden_bytes(tmp_path):
+    # integer-dtype curves, a label that needs CSV quoting and SVG escaping, two marker sets
+    xs = np.array([0, 1])
+    label = "fit, <a> & b"
+    bundle = ReportBundle(
+        curves=[Curve("truth", xs, np.array([0, 2])), Curve(label, xs, np.array([1, -3]))],
+        reports=[ErrorReport(label, 3, 0.75, 0.5, 1.0, 0.25)],
+        node_markers=[
+            Curve("nodes", np.array([0.0, 1.0]), np.array([0.0, 2.0])),
+            Curve("efc <pos>", np.array([0.5]), np.array([1.0])),
+        ],
+    )
+    emit_csv(bundle, tmp_path / "g.csv")
+    emit_svg(bundle, tmp_path / "g.svg")
+    assert (tmp_path / "g.csv").read_bytes() == b'x,truth,"fit, <a> & b"\n0.0,0.0,1.0\n1.0,2.0,-3.0\n'
+    assert (tmp_path / "g.csv.report.csv").read_bytes() == (
+        b'method,n_params,max_abs,rms,argmax_x,endpoint_max_abs\n"fit, <a> & b",3,0.75,0.5,1.0,0.25\n'
+    )
+    assert (tmp_path / "g.svg").read_bytes() == _GOLDEN_SVG.encode()
+
+
+def test_emit_sweep_csv_quotes_errors(tmp_path):
+    entries = [
+        StudyEntry(5, ErrorReport("s[5]", 5, 0.5, 0.25, 1.0, 0.125)),
+        StudyEntry(7, None, 'ValueError: bad "m", odd'),
+    ]
+    bench.emit_sweep_csv(entries, tmp_path / "s.csv")
+    assert (tmp_path / "s.csv").read_bytes() == (
+        b'param,max_abs,rms,endpoint_max_abs,error\n5,0.5,0.25,0.125,\n7,,,,"ValueError: bad ""m"", odd"\n'
+    )
 
 
 def test_sweep_and_unknown_method():

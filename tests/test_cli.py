@@ -45,6 +45,21 @@ def test_cli_run_config_file(tmp_path):
     assert (tmp_path / "tikhonov.csv").exists()
 
 
+def test_cli_bad_numeric_input_exits_2(tmp_path, capsys):
+    runs = [
+        (["--grid-size", "1", "figure", "1"], "--grid-size"),
+        (["--grid-size", "1", "run", "--method", "lagrange"], "--grid-size"),
+    ]
+    for key, value in (("n_samples", "abc"), ("degree", "x")):
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"method = lagrange\n{key} = {value}\n")
+        runs.append((["run", "--config", str(cfg)], f"'{value}'"))
+    for argv, named in runs:
+        rc = main(["--out", str(tmp_path), *argv])
+        assert rc == 2, argv
+        assert named in capsys.readouterr().err
+
+
 def test_cli_sweep(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "sweep", "--method", "lagrange", "--grid", "5,10"])
     assert rc == 0
