@@ -6,12 +6,13 @@ import argparse
 import sys
 
 from runge_lab import bench
+from runge_lab.metrics import DEFAULT_GRID_SIZE
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--grid-size", type=int, default=1001)
+    parser.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
     args = parser.parse_args()
     out = args.out or bench.default_output_dir()
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import interpolants, metrics, nodes
 from .core import Basis, Interval, RUNGE, TargetFunction
 from .interpolants import BandStrategy, EfciConfig, PenaltyKind, TikhonovOperator, TisiConfig
-from .metrics import ErrorReport, error_report
+from .metrics import DEFAULT_GRID_SIZE, ErrorReport, error_report
 
 UNSUPPORTED_FIGURE_NOTE = {10: "not reproducible - undefined in source"}
 SVD_THRESHOLDS = (1e-2, 1e-5, 1e-10, 1e-15)
@@ -36,18 +36,6 @@ class Curve:
     def __post_init__(self):
         if len(self.xs) != len(self.ys):
             raise ValueError("curve xs/ys length mismatch")
-
-
-@dataclass
-class ExperimentConfig:
-    method: str = "lagrange"
-    interval: Interval = field(default_factory=Interval)
-    n_samples: int = 11
-    degree: int = 10
-    method_params: dict = field(default_factory=dict)
-    grid_size: int = 1001
-    output_dir: str | None = None
-    emit_svg: bool = False
 
 
 @dataclass
@@ -130,11 +118,6 @@ def _nodes(samples) -> dict:
     return {"nodes": (samples.xs, samples.ys)}
 
 
-def _renamed(params: dict, **names) -> dict:
-    """Registry parameter names -> library keyword names."""
-    return {names.get(key, key): value for key, value in params.items()}
-
-
 def _penalized(kind: PenaltyKind) -> Callable:
     return lambda s, f, degree, iv, **p: (interpolants.fit_regularized(s, degree, kind, **p), _nodes(s))
 
@@ -145,20 +128,8 @@ def _chebyshev(s, f, degree, interval):
 
 
 def _efci(s, f, degree, interval, **p):
-    cfg = EfciConfig(degree=degree, **_renamed(p, weight="constraint_weight"))
-    approx, positions, _ = interpolants.efci_fit(s, f, cfg)
+    approx, positions, _ = interpolants.efci_fit(s, f, EfciConfig(degree=degree, **p))
     return approx, {**_nodes(s), "efc positions": (positions, f(positions))}
-
-
-_TISI_BANDS = {"left": "left_strategy", "center": "center_strategy", "right": "right_strategy"}
-
-
-def _tisi(s, f, degree, interval, improved=False, **p):
-    if improved:  # the improved variant fixes its band strategies
-        cfg = TisiConfig.improved(**{key: value for key, value in p.items() if key not in _TISI_BANDS})
-    else:
-        cfg = TisiConfig(**_renamed(p, **_TISI_BANDS))
-    return interpolants.tisi_fit(f, interval, cfg), {}
 
 
 METHODS: dict[str, MethodInfo] = {
@@ -195,9 +166,8 @@ METHODS: dict[str, MethodInfo] = {
                 "center": tuple(BandStrategy),
                 "right": tuple(BandStrategy),
                 "nodes_per_interval": int,
-                "improved": bool,
             },
-            _tisi,
+            lambda s, f, d, iv, **p: (interpolants.tisi_fit(f, iv, TisiConfig(**p)), {}),
             family=None,
         ),
         MethodInfo(
@@ -276,7 +246,7 @@ FIGURES: dict[int, FigureSpec] = {
         (("grid points", "least squares", "nodes"),),
     ),
     7: FigureSpec((FitSpec("tisi", "tisi"),)),
-    8: FigureSpec((FitSpec("tisi improved", "tisi", {"improved": True}),)),
+    8: FigureSpec((FitSpec("tisi improved", "tisi", {"center": "lagrange_cheb"}),)),  # TisiConfig.improved()
     9: FigureSpec(
         (
             FitSpec("equispaced", "lagrange", n=21),
@@ -319,27 +289,37 @@ def _bundle(figure: FigureSpec, f: TargetFunction, interval: Interval, grid_size
     return ReportBundle(curves=curves, reports=reports, node_markers=markers)
 
 
-def run_experiment(cfg: ExperimentConfig, f: TargetFunction = RUNGE) -> ReportBundle:
-    """One registered method as a one-fit figure, marking the nodes it was fitted to."""
-    fit = FitSpec(cfg.method, cfg.method, cfg.method_params, n=cfg.n_samples, degree=cfg.degree)
-    figure = FigureSpec((fit,), (("sample nodes", cfg.method, "nodes"),))
-    bundle = _bundle(figure, f, cfg.interval, cfg.grid_size)
-    _maybe_write(bundle, cfg.output_dir, cfg.emit_svg, name=cfg.method)
+def run_experiment(
+    fit: FitSpec,
+    f: TargetFunction = RUNGE,
+    grid_size: int = DEFAULT_GRID_SIZE,
+    output_dir: str | None = None,
+    emit_svg_file: bool = False,
+) -> ReportBundle:
+    """One fit as a one-fit figure on [-1, 1], marking the nodes it was fitted
+    to; the files are named after its method."""
+    figure = FigureSpec((fit,), (("sample nodes", fit.label, "nodes"),))
+    bundle = _bundle(figure, f, Interval(), grid_size)
+    _maybe_write(bundle, output_dir, emit_svg_file, name=fit.method)
     return bundle
 
 
 def run_figure(
     figure_id: int,
-    grid_size: int = 1001,
+    grid_size: int = DEFAULT_GRID_SIZE,
     n_samples: int | None = None,
     output_dir: str | None = None,
     emit_svg_file: bool = False,
 ) -> ReportBundle:
-    """Reproduce one of the paper-style figures as curves plus error reports."""
+    """Reproduce one of the paper-style figures as curves plus error reports;
+    `n_samples` resizes every fit of a resizable figure."""
     if figure_id not in SUPPORTED_FIGURES:
         raise UsageError(_figure_error(figure_id))
     figure = FIGURES[figure_id]
-    if figure.resizable and n_samples:
+    if n_samples is not None:
+        if not figure.resizable:
+            resizable = ", ".join(str(fid) for fid, spec in FIGURES.items() if spec.resizable)
+            raise UsageError(f"figure {figure_id} has fixed sample counts; resizable: {resizable}")
         fits = tuple(dataclasses.replace(spec, n=n_samples) for spec in figure.fits)
         figure = dataclasses.replace(figure, fits=fits)
     bundle = _bundle(figure, RUNGE, Interval(), grid_size)
@@ -507,7 +487,9 @@ def read_curve_csv(path) -> list[Curve]:
     return [Curve(header[i], xs, np.asarray(cols[i])) for i in range(1, len(header))]
 
 
-def sweep(method: str, grid, f: TargetFunction = RUNGE, grid_size: int = 1001) -> list[metrics.StudyEntry]:
+def sweep(
+    method: str, grid, f: TargetFunction = RUNGE, grid_size: int = DEFAULT_GRID_SIZE
+) -> list[metrics.StudyEntry]:
     """Convergence study of a registered method over sample counts."""
     _method(method)
 

@@ -10,8 +10,12 @@ import sys
 from pathlib import Path
 
 from . import bench
-from .bench import ExperimentConfig, UsageError, default_output_dir
+from .bench import FitSpec, UsageError, default_output_dir
 from .linalg import NumericError
+from .metrics import DEFAULT_GRID_SIZE
+
+# run inputs besides method parameters -> their FitSpec field
+_FIT_FIELDS = {"n_samples": "n", "degree": "degree"}
 
 
 def _parse_kv_params(pairs):
@@ -49,19 +53,19 @@ def _build_parser():
     )
     parser.add_argument("--out", help="output directory (default: $RUNGE_LAB_OUT or ./out)")
     parser.add_argument("--svg", action="store_true", help="also emit SVG plots")
-    parser.add_argument("--grid-size", type=int, default=1001, help="dense evaluation grid size")
+    parser.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE, help="dense evaluation grid size")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fig = sub.add_parser("figure", help="reproduce a paper-style figure")
     p_fig.add_argument("figure_id", help="figure id, or 'all'")
-    p_fig.add_argument("--n-samples", type=int, help="node-count override (figure 12)")
+    p_fig.add_argument("--n-samples", type=int, help="sample count of every fit of a resizable figure")
 
     p_run = sub.add_parser("run", help="run one method")
     p_run.add_argument("--method", help="method name (see list-methods)")
     p_run.add_argument("--param", action="append", metavar="KEY=VALUE", help="method parameter")
-    p_run.add_argument("--n-samples", type=int, default=11)
-    p_run.add_argument("--degree", type=int, default=10)
-    p_run.add_argument("--config", help="flat key=value config file")
+    p_run.add_argument("--n-samples", type=int)
+    p_run.add_argument("--degree", type=int)
+    p_run.add_argument("--config", help="flat key=value config file; a flag overrides its key")
 
     p_sweep = sub.add_parser("sweep", help="convergence sweep over sample counts")
     p_sweep.add_argument("--method", required=True)
@@ -78,11 +82,15 @@ def _cmd_figure(args, out_dir):
             ids = [int(args.figure_id)]
         except ValueError:
             raise UsageError(f"figure id must be an integer or 'all', got {args.figure_id!r}")
+    if args.n_samples is not None and args.n_samples < 2:
+        raise UsageError(f"--n-samples must be at least 2, got {args.n_samples}")
     for fid in ids:
+        # 'all' resizes the resizable figures; run_figure rejects any other override
+        resize = args.figure_id != "all" or bench.FIGURES[fid].resizable
         bundle = bench.run_figure(
             fid,
             grid_size=args.grid_size,
-            n_samples=args.n_samples,
+            n_samples=args.n_samples if resize else None,
             output_dir=out_dir,
             emit_svg_file=args.svg,
         )
@@ -92,31 +100,26 @@ def _cmd_figure(args, out_dir):
 
 
 def _cmd_run(args, out_dir):
-    params = {}
-    method = args.method
-    n_samples, degree = args.n_samples, args.degree
-    if args.config:
-        file_params = _read_config_file(args.config)
-        method = file_params.pop("method", method)
-        try:
-            n_samples = int(file_params.pop("n_samples", n_samples))
-            degree = int(file_params.pop("degree", degree))
-        except ValueError as exc:
-            raise UsageError(f"{args.config}: n_samples and degree must be integers ({exc})")
-        params.update(file_params)
+    """Each run input comes from its command-line flag, else from the config
+    file, else from FitSpec's default."""
+    keys = ("method", *_FIT_FIELDS)
+    params = _read_config_file(args.config) if args.config else {}
+    inputs = {key: params.pop(key) for key in keys if key in params}
+    inputs.update({key: getattr(args, key) for key in keys if getattr(args, key) is not None})
+    params.update(_parse_kv_params(args.param))
+    method = inputs.pop("method", None)
     if method is None:
         raise UsageError("run requires --method (or a config file with a method key)")
-    params.update(_parse_kv_params(args.param))
-    cfg = ExperimentConfig(
-        method=method,
-        n_samples=n_samples,
-        degree=degree,
-        method_params=params,
+    try:
+        sizes = {_FIT_FIELDS[key]: int(value) for key, value in inputs.items()}
+    except ValueError as exc:
+        raise UsageError(f"{args.config}: n_samples and degree must be integers ({exc})")
+    bundle = bench.run_experiment(
+        FitSpec(method, method, params, **sizes),
         grid_size=args.grid_size,
         output_dir=out_dir,
-        emit_svg=args.svg,
+        emit_svg_file=args.svg,
     )
-    bundle = bench.run_experiment(cfg)
     for r in bundle.reports:
         print(f"{r.method}: n_params={r.n_params} max_abs={r.max_abs:.6g} rms={r.rms:.6g}")
     print(f"outputs written to {out_dir}")
@@ -129,6 +132,8 @@ def _cmd_sweep(args, out_dir):
         raise UsageError(f"--grid expects comma-separated integers, got {args.grid!r}")
     if not grid:
         raise UsageError("--grid must name at least one sample count")
+    if min(grid) < 1:
+        raise UsageError(f"--grid sample counts must be at least 1, got {min(grid)}")
     entries = bench.sweep(args.method, grid, grid_size=args.grid_size)
     path = Path(out_dir) / f"sweep_{args.method}.csv"
     bench.emit_sweep_csv(entries, path)

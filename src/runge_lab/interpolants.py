@@ -125,9 +125,8 @@ def fit_regularized(
         coeffs = linalg.lstsq(A, y)
     elif penalty is PenaltyKind.RIDGE:
         coeffs = linalg.ridge_closed_form(A, y, alpha)
-    elif penalty is PenaltyKind.LASSO:
-        coeffs = linalg.elastic_net_cd(A, y, alpha, rho=1.0, tol=tol, max_iter=max_iter).coeffs
-    else:
+    else:  # lasso is the elastic net with rho = 1
+        rho = 1.0 if penalty is PenaltyKind.LASSO else rho
         coeffs = linalg.elastic_net_cd(A, y, alpha, rho=rho, tol=tol, max_iter=max_iter).coeffs
     return BasisPoly(Basis.MONOMIAL, coeffs, samples.interval)
 
@@ -135,15 +134,6 @@ def fit_regularized(
 class TikhonovOperator(enum.Enum):
     IDENTITY = "identity"
     SECOND_DIFFERENCE = "second_difference"
-
-
-def _second_difference_matrix(p: int) -> np.ndarray:
-    if p < 3:
-        return np.zeros((0, p))
-    D = np.zeros((p - 2, p))
-    for i in range(p - 2):
-        D[i, i : i + 3] = (1.0, -2.0, 1.0)
-    return D
 
 
 def tikhonov_fit(
@@ -160,11 +150,8 @@ def tikhonov_fit(
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     A = linalg.design_matrix(samples.nodes, degree, Basis.MONOMIAL)
-    p = degree + 1
-    if operator is TikhonovOperator.IDENTITY:
-        L = lam * np.eye(p)
-    else:
-        L = lam * _second_difference_matrix(p)
+    eye = np.eye(degree + 1)
+    L = lam * (eye if operator is TikhonovOperator.IDENTITY else np.diff(eye, 2, axis=0))
     stacked = np.vstack([A, L])
     rhs = np.concatenate([samples.ys, np.zeros(L.shape[0])])
     coeffs = linalg.lstsq(stacked, rhs)
@@ -177,22 +164,22 @@ def tikhonov_fit(
 
 @dataclass(frozen=True)
 class EfciConfig:
-    """``epsilon`` is each end band's width in x units; ``constraint_weight``
+    """``epsilon`` is each end band's width in x units; ``weight``
     weights the curvature d^2p/dt^2 in the unit coordinate t."""
 
     degree: int = 10
     m: int = 4
     epsilon: float = 0.1
     search: bool = False
-    constraint_weight: float = 10.0
+    weight: float = 10.0
 
     def __post_init__(self):
         if self.m < 2 or self.m % 2:
             raise ValueError("m must be an even integer >= 2")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
-        if self.constraint_weight <= 0:
-            raise ValueError("constraint_weight must be > 0")
+        if self.weight <= 0:
+            raise ValueError("weight must be > 0")
 
 
 def _efc_positions(interval: Interval, m: int, epsilon: float) -> np.ndarray:
@@ -208,7 +195,7 @@ def _efci_single(samples: SampleSet, f: TargetFunction, cfg: EfciConfig, m: int)
     A = linalg.design_matrix(samples.nodes, cfg.degree, Basis.MONOMIAL)
     j = np.arange(cfg.degree + 1)  # C[i, j] = d^2/dt^2 of t^j at the i-th position
     C = j * (j - 1) * interval.to_unit(positions)[:, None] ** np.maximum(j - 2, 0)
-    w = np.sqrt(cfg.constraint_weight)
+    w = np.sqrt(cfg.weight)
     stacked = np.vstack([A, w * C])
     rhs = np.concatenate([samples.ys, np.zeros(len(positions))])
     coeffs = linalg.lstsq(stacked, rhs)
@@ -307,10 +294,12 @@ class BandStrategy(enum.Enum):
 
 @dataclass(frozen=True)
 class TisiConfig:
+    """``left``, ``center`` and ``right`` are the strategies of the three bands."""
+
     epsilon: float = 0.2
-    left_strategy: BandStrategy = BandStrategy.LAGRANGE_EQUISPACED
-    center_strategy: BandStrategy = BandStrategy.LAGRANGE_EQUISPACED
-    right_strategy: BandStrategy = BandStrategy.LAGRANGE_EQUISPACED
+    left: BandStrategy = BandStrategy.LAGRANGE_EQUISPACED
+    center: BandStrategy = BandStrategy.LAGRANGE_EQUISPACED
+    right: BandStrategy = BandStrategy.LAGRANGE_EQUISPACED
     nodes_per_interval: int = 11
 
     def __post_init__(self):
@@ -323,7 +312,7 @@ class TisiConfig:
     def improved(cls, **fields) -> "TisiConfig":
         """End bands on equispaced Lagrange, Chebyshev clustering in the center;
         ``fields`` sets epsilon and nodes_per_interval."""
-        return cls(center_strategy=BandStrategy.LAGRANGE_CHEB, **fields)
+        return cls(center=BandStrategy.LAGRANGE_CHEB, **fields)
 
 
 def _band_nodes(band: Interval, strategy: BandStrategy, n: int) -> NodeSet:
@@ -353,7 +342,7 @@ def tisi_fit(f: TargetFunction, interval: Interval, cfg: TisiConfig) -> Piecewis
     if cfg.epsilon >= interval.width / 2:
         raise ValueError("epsilon must be smaller than half the interval width")
     breaks = np.array([interval.lo, interval.lo + cfg.epsilon, interval.hi - cfg.epsilon, interval.hi])
-    strategies = (cfg.left_strategy, cfg.center_strategy, cfg.right_strategy)
+    strategies = (cfg.left, cfg.center, cfg.right)
     pieces = tuple(
         _fit_band(f, Interval(float(breaks[i]), float(breaks[i + 1])), strategies[i], cfg.nodes_per_interval)
         for i in range(3)

@@ -203,18 +203,18 @@ def test_criterion_6_efci():
     with _Timer() as t:
         s = RUNGE.sample(equispaced(11))
         approx, pos, _ = efci_fit(
-            s, RUNGE, EfciConfig(degree=10, m=4, epsilon=0.1, constraint_weight=10.0)
+            s, RUNGE, EfciConfig(degree=10, m=4, epsilon=0.1, weight=10.0)
         )
         d2 = P.polyder(approx.coeffs, 2)
         curvature_ok = np.all(
             np.abs(P.polyval(pos, d2)) < 1e-3 * np.max(np.abs(P.polyval(GRID, d2)))
         )
-        sweep_cfg = EfciConfig(degree=10, epsilon=0.1, search=True, constraint_weight=10.0)
+        sweep_cfg = EfciConfig(degree=10, epsilon=0.1, search=True, weight=10.0)
         _, pos1, obj1 = efci_fit(s, RUNGE, sweep_cfg)
         _, pos2, obj2 = efci_fit(s, RUNGE, sweep_cfg)
         deterministic = obj1 == obj2 and np.array_equal(pos1, pos2)
         candidates = [
-            efci_fit(s, RUNGE, EfciConfig(degree=10, m=m, epsilon=0.1, constraint_weight=10.0))[2]
+            efci_fit(s, RUNGE, EfciConfig(degree=10, m=m, epsilon=0.1, weight=10.0))[2]
             for m in (2, 4, 6, 8, 10)
         ]
         winner_ok = all(obj1 <= c + 1e-15 for c in candidates)

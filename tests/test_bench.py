@@ -17,7 +17,7 @@ from runge_lab import (
 )
 from runge_lab.bench import (
     Curve,
-    ExperimentConfig,
+    FitSpec,
     ReportBundle,
     UsageError,
     emit_csv,
@@ -34,8 +34,7 @@ def _tiny_bundle(curves, markers=()):
 
 
 def test_run_experiment_lagrange_through_samples():
-    cfg = ExperimentConfig(method="lagrange", n_samples=3, grid_size=11)
-    bundle = run_experiment(cfg)
+    bundle = run_experiment(FitSpec("lagrange", "lagrange", n=3), grid_size=11)
     xs = bundle.curves[1].xs
     ys = bundle.curves[1].ys
     for x, y in [(-1.0, 1 / 26), (0.0, 1.0), (1.0, 1 / 26)]:
@@ -43,27 +42,26 @@ def test_run_experiment_lagrange_through_samples():
 
 
 def test_run_experiment_svd_zero_threshold_matches_lagrange():
-    svd_cfg = ExperimentConfig(method="svd", n_samples=11, degree=10, method_params={"threshold": "0"})
-    lag_cfg = ExperimentConfig(method="lagrange", n_samples=11)
-    a = run_experiment(svd_cfg).curves[1].ys
-    b = run_experiment(lag_cfg).curves[1].ys
+    svd_fit = FitSpec("svd", "svd", {"threshold": "0"}, n=11, degree=10)
+    lag_fit = FitSpec("lagrange", "lagrange", n=11)
+    a = run_experiment(svd_fit).curves[1].ys
+    b = run_experiment(lag_fit).curves[1].ys
     assert np.max(np.abs(a - b)) < 1e-6
 
 
 def test_run_experiment_rejects_unknown_method_and_params():
     with pytest.raises(UsageError):
-        run_experiment(ExperimentConfig(method="nope"))
+        run_experiment(FitSpec("nope", "nope"))
     with pytest.raises(UsageError, match="alpha"):
-        run_experiment(ExperimentConfig(method="lagrange", method_params={"alpha": "1"}))
+        run_experiment(FitSpec("lagrange", "lagrange", {"alpha": "1"}))
     with pytest.raises(UsageError, match="threshold"):
-        run_experiment(ExperimentConfig(method="svd", method_params={"threshold": "abc"}))
+        run_experiment(FitSpec("svd", "svd", {"threshold": "abc"}))
 
 
 _S11 = RUNGE.sample(equispaced(11))
 
-# Each registered method's library function on the samples run_experiment's
-# default config draws (11 equispaced samples, degree 10), with only its
-# required arguments.
+# Each registered method's library function on the samples a default FitSpec
+# draws (11 equispaced samples, degree 10), with only its required arguments.
 LIBRARY_CALLS = {
     "lagrange": lambda: interpolants.lagrange_interpolate(_S11),
     "chebyshev": lambda: interpolants.chebyshev_interpolate(RUNGE, 10),
@@ -83,15 +81,15 @@ LIBRARY_CALLS = {
 
 @pytest.mark.parametrize("method", sorted(bench.METHODS))
 def test_registry_states_no_default_of_its_own(method):
-    curve = run_experiment(ExperimentConfig(method=method)).curves[1]
+    curve = run_experiment(FitSpec(method, method)).curves[1]
     assert np.array_equal(curve.ys, LIBRARY_CALLS[method]().evaluate(curve.xs))
 
 
 def test_run_marks_only_the_nodes_the_fit_used():
-    [marker] = run_experiment(ExperimentConfig(method="chebyshev")).node_markers
+    [marker] = run_experiment(FitSpec("chebyshev", "chebyshev")).node_markers
     assert np.array_equal(marker.xs, chebyshev_roots(10).xs)
     # TISI samples each band on its own grid, so there is no one sample set to mark
-    assert run_experiment(ExperimentConfig(method="tisi")).node_markers == []
+    assert run_experiment(FitSpec("tisi", "tisi")).node_markers == []
 
 
 # EFCI's and TISI's epsilon is a band width in x; every other parameter acts in
@@ -99,7 +97,7 @@ def test_run_marks_only_the_nodes_the_fit_used():
 _EPSILON = {"efci": interpolants.EfciConfig().epsilon, "tisi": interpolants.TisiConfig().epsilon}
 _INVARIANCE_CASES = [pytest.param(method, {}, id=method) for method in sorted(bench.METHODS)] + [
     pytest.param("efci", {"search": True}, id="efci-search"),
-    pytest.param("tisi", {"improved": True}, id="tisi-improved"),
+    pytest.param("tisi", {"center": "lagrange_cheb"}, id="tisi-improved"),
     pytest.param("svd", {"basis": "monomial"}, id="svd-monomial"),
 ]
 
@@ -121,6 +119,14 @@ def _max_abs_on(interval, method, params):
 def test_fit_is_shift_and_scale_invariant(method, params, shift, width):
     want = _max_abs_on(Interval(), method, params)
     assert _max_abs_on(Interval(shift, shift + width), method, params) == pytest.approx(want, rel=1e-6)
+
+
+def test_figure_8_is_improved_tisi():
+    improved = interpolants.TisiConfig.improved()
+    [spec] = bench.FIGURES[8].fits
+    assert interpolants.TisiConfig(**bench._coerce_params(bench.METHODS["tisi"], spec.params)) == improved
+    curve = run_figure(8).curves[1]
+    assert np.array_equal(curve.ys, interpolants.tisi_fit(RUNGE, Interval(), improved).evaluate(curve.xs))
 
 
 def test_run_figure_unsupported_lists_ids():

@@ -1,3 +1,5 @@
+import csv
+
 from runge_lab.cli import main
 
 
@@ -30,6 +32,7 @@ def test_cli_run_bad_param(tmp_path, capsys):
         ("svd", "basis=bogus", "legendre"),
         ("svd", "basis=chebyshev_t", "legendre"),  # a basis the SVD fit rejects
         ("tisi", "left=bogus", "spline_local"),
+        ("tisi", "improved=true", "nodes_per_interval"),  # improved TISI is center=lagrange_cheb
     ]
     for method, param, listed in cases:
         rc = main(["--out", str(tmp_path), "run", "--method", method, "--param", param])
@@ -50,6 +53,12 @@ def test_cli_bad_numeric_input_exits_2(tmp_path, capsys):
         (["--grid-size", "1", "figure", "1"], "--grid-size"),
         (["--grid-size", "1", "run", "--method", "lagrange"], "--grid-size"),
     ]
+    runs += [
+        (["figure", "3", "--n-samples", "31"], "fixed sample counts"),
+        (["figure", "12", "--n-samples", "0"], "--n-samples"),
+        (["figure", "all", "--n-samples", "1"], "--n-samples"),
+        (["sweep", "--method", "chebyshev", "--grid", "1,0,-2"], "--grid"),
+    ]
     for key, value in (("n_samples", "abc"), ("degree", "x")):
         cfg = tmp_path / f"{key}.cfg"
         cfg.write_text(f"method = lagrange\n{key} = {value}\n")
@@ -58,6 +67,34 @@ def test_cli_bad_numeric_input_exits_2(tmp_path, capsys):
         rc = main(["--out", str(tmp_path), *argv])
         assert rc == 2, argv
         assert named in capsys.readouterr().err
+
+
+def test_cli_run_flags_win_over_config_file(tmp_path, capsys):
+    sizes = "method = lagrange\nn_samples = 5\ndegree = 4\n"
+    runs = [
+        (sizes, [], "lagrange: n_params=5 "),  # the file sets what no flag does
+        (sizes, ["--n-samples", "21"], "lagrange: n_params=21 "),
+        (sizes, ["--method", "ridge"], "ridge: n_params=5 "),
+        (sizes, ["--method", "ridge", "--degree", "6"], "ridge: n_params=7 "),
+        ("method = ridge\nalpha = bogus\n", ["--param", "alpha=0.5"], "ridge: n_params=11 "),
+    ]
+    cfg = tmp_path / "exp.cfg"
+    for text, argv, printed in runs:
+        cfg.write_text(text)
+        rc = main(["--out", str(tmp_path), "run", "--config", str(cfg), *argv])
+        out = capsys.readouterr().out
+        assert rc == 0, argv
+        assert printed in out, argv
+
+
+def test_cli_figure_n_samples_resizes_only_resizable_figures(tmp_path):
+    rc = main(["--out", str(tmp_path), "--grid-size", "101", "figure", "all", "--n-samples", "31"])
+    assert rc == 0
+    n_params = {}
+    for fid in (3, 12):
+        with open(tmp_path / f"figure{fid}.csv.report.csv", newline="") as fh:
+            n_params[fid] = {row["n_params"] for row in csv.DictReader(fh)}
+    assert n_params == {3: {"11"}, 12: {"31"}}
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -222,7 +222,7 @@ def test_efci_linear_target_free_constraints():
 
 def test_efci_flattens_curvature_at_positions():
     s = RUNGE.sample(equispaced(11))
-    approx, pos, _ = efci_fit(s, RUNGE, EfciConfig(degree=10, m=4, epsilon=0.1, constraint_weight=10.0))
+    approx, pos, _ = efci_fit(s, RUNGE, EfciConfig(degree=10, m=4, epsilon=0.1, weight=10.0))
     d2 = P.polyder(approx.coeffs, 2)
     at_pos = np.abs(P.polyval(pos, d2))
     assert np.all(at_pos < 1e-3 * np.max(np.abs(P.polyval(GRID, d2))))
@@ -230,12 +230,12 @@ def test_efci_flattens_curvature_at_positions():
 
 def test_efci_search_deterministic_and_optimal():
     s = RUNGE.sample(equispaced(11))
-    cfg = EfciConfig(degree=10, epsilon=0.1, search=True, constraint_weight=10.0)
+    cfg = EfciConfig(degree=10, epsilon=0.1, search=True, weight=10.0)
     approx, pos, obj = efci_fit(s, RUNGE, cfg)
     winner_m = len(pos)
     objs = {}
     for m in (2, 4, 6, 8, 10):
-        _, _, o = efci_fit(s, RUNGE, EfciConfig(degree=10, m=m, epsilon=0.1, constraint_weight=10.0))
+        _, _, o = efci_fit(s, RUNGE, EfciConfig(degree=10, m=m, epsilon=0.1, weight=10.0))
         objs[m] = o
     assert obj == pytest.approx(objs[winner_m], abs=1e-10)
     assert all(obj <= o + 1e-15 for o in objs.values())
@@ -249,7 +249,7 @@ def test_efci_weight_to_zero_approaches_unconstrained():
     # degree-10 system is so ill-conditioned that it only collapses to zero
     # a few decades further down
     for w in (1e-2, 1e-4, 1e-6, 1e-10, 1e-14):
-        approx, _, _ = efci_fit(s, RUNGE, EfciConfig(degree=10, m=4, constraint_weight=w))
+        approx, _, _ = efci_fit(s, RUNGE, EfciConfig(degree=10, m=4, weight=w))
         dists.append(np.linalg.norm(approx.coeffs - base.coeffs))
     assert all(b < a for a, b in zip(dists, dists[1:]))
     assert dists[-1] < 1e-2 * np.linalg.norm(base.coeffs)
@@ -344,7 +344,7 @@ def test_tisi_improved_beats_global_equispaced():
 
 
 def test_tisi_spline_band():
-    cfg = TisiConfig(center_strategy=BandStrategy.SPLINE_LOCAL)
+    cfg = TisiConfig(center=BandStrategy.SPLINE_LOCAL)
     approx = tisi_fit(RUNGE, Interval(), cfg)
     assert np.isfinite(_max_err(approx, RUNGE))
 
