@@ -14,8 +14,8 @@ from .bench import FitSpec, UsageError, default_output_dir
 from .linalg import NumericError
 from .metrics import DEFAULT_GRID_SIZE
 
-# run inputs besides method parameters -> their FitSpec field
-_FIT_FIELDS = {"n_samples": "n", "degree": "degree"}
+# run inputs besides method parameters -> (their FitSpec field, least value)
+_FIT_FIELDS = {"n_samples": ("n", 2), "degree": ("degree", 1)}
 
 
 def _parse_kv_params(pairs):
@@ -111,11 +111,15 @@ def _cmd_run(args, out_dir):
     if method is None:
         raise UsageError("run requires --method (or a config file with a method key)")
     try:
-        sizes = {_FIT_FIELDS[key]: int(value) for key, value in inputs.items()}
+        sizes = {key: int(value) for key, value in inputs.items()}
     except ValueError as exc:
         raise UsageError(f"{args.config}: n_samples and degree must be integers ({exc})")
+    for key, value in sizes.items():
+        least = _FIT_FIELDS[key][1]
+        if value < least:
+            raise UsageError(f"{key} must be at least {least}, got {value}")
     bundle = bench.run_experiment(
-        FitSpec(method, method, params, **sizes),
+        FitSpec(method, method, params, **{_FIT_FIELDS[key][0]: value for key, value in sizes.items()}),
         grid_size=args.grid_size,
         output_dir=out_dir,
         emit_svg_file=args.svg,

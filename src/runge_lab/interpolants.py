@@ -9,6 +9,7 @@ strategies, and truncated-SVD solves.
 from __future__ import annotations
 
 import enum
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,7 +112,8 @@ def fit_regularized(
     """Monomial fit of the given degree under the chosen penalty.
 
     With no penalty this is the plain (overfit-prone) least-squares baseline;
-    ridge takes the closed form, lasso and elastic net run coordinate descent.
+    ridge takes the closed form, lasso and elastic net run coordinate descent
+    and warn (RuntimeWarning) when it stops at max_iter without converging.
     The monomials and ``alpha`` act in the unit coordinate t (see BasisPoly).
     """
     penalty = PenaltyKind(penalty)
@@ -127,7 +129,14 @@ def fit_regularized(
         coeffs = linalg.ridge_closed_form(A, y, alpha)
     else:  # lasso is the elastic net with rho = 1
         rho = 1.0 if penalty is PenaltyKind.LASSO else rho
-        coeffs = linalg.elastic_net_cd(A, y, alpha, rho=rho, tol=tol, max_iter=max_iter).coeffs
+        result = linalg.elastic_net_cd(A, y, alpha, rho=rho, tol=tol, max_iter=max_iter)
+        if not result.converged:
+            warnings.warn(
+                f"{penalty.value} coordinate descent did not converge in {result.n_sweeps} sweeps (tol={tol:g})",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        coeffs = result.coeffs
     return BasisPoly(Basis.MONOMIAL, coeffs, samples.interval)
 
 

@@ -153,6 +153,7 @@ class CdResult:
     coeffs: np.ndarray
     converged: bool
     n_sweeps: int
+    kkt_residual: float  # largest subgradient violation at coeffs
     objectives: np.ndarray = field(repr=False)
 
 
@@ -177,9 +178,22 @@ def elastic_net_cd(
     """Cyclic coordinate descent on
     (1/2N)||y - Aw||^2 + alpha*rho*||w||_1 + alpha*(1-rho)/2*||w||_2^2.
 
-    Soft-threshold update per coordinate; stops once the largest coordinate
-    change in a sweep drops below tol. Non-convergence is reported in the
-    result, not raised.
+    Gram form (Friedman, Hastie & Tibshirani 2010, J. Stat. Softw. 33(1),
+    sec. 2.2): with G = A^T A / N, c = A^T y / N and q = G w kept current, a
+    soft-threshold coordinate update costs O(p) and never touches the N rows.
+
+    Confirmed-support polish (after Osborne, Presnell & Turlach 2000, IMA J.
+    Numer. Anal. 20(3)): once a full sweep leaves the support and signs of w
+    exactly as the previous full sweep left them, solve the problem on that
+    support exactly and step toward the solution, dropping a coordinate at
+    each sign crossing (see _polish_support). Every step is taken only if the
+    objective does not rise, so ``objectives`` never increases; it gains one
+    entry per full sweep and one per polish step. A polish counts as one
+    sweep against max_iter.
+
+    Stops once the largest coordinate change in a full sweep drops below tol.
+    Non-convergence is reported in the result, not raised; ``kkt_residual``
+    is the largest subgradient violation at the returned coefficients.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -190,31 +204,97 @@ def elastic_net_cd(
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     n_obs, p = A.shape
-    z = np.einsum("ij,ij->j", A, A) / n_obs
-    w = np.zeros(p)
-    r = y.copy()  # residual y - A w
+    G = A.T @ A / n_obs
+    c = A.T @ y / n_obs
     lam1 = alpha * rho
     lam2 = alpha * (1.0 - rho)
+    z = G.diagonal() + lam2
+    w = np.zeros(p)
+    q = np.zeros(p)  # G w
     objectives = [elastic_net_objective(A, y, w, alpha, rho)]
     converged = False
     sweeps = 0
-    for sweeps in range(1, max_iter + 1):
+    signs = None  # sign pattern of w after the previous full sweep
+    while sweeps < max_iter:
+        sweeps += 1
         max_delta = 0.0
         for j in range(p):
-            if z[j] + lam2 == 0.0:
+            if z[j] == 0.0:
                 continue
-            rho_j = (A[:, j] @ r) / n_obs + z[j] * w[j]
-            wj_new = np.sign(rho_j) * max(abs(rho_j) - lam1, 0.0) / (z[j] + lam2)
+            rho_j = c[j] - q[j] + G[j, j] * w[j]
+            wj_new = np.sign(rho_j) * max(abs(rho_j) - lam1, 0.0) / z[j]
             delta = wj_new - w[j]
             if delta != 0.0:
-                r -= delta * A[:, j]
+                q += delta * G[:, j]
                 w[j] = wj_new
                 max_delta = max(max_delta, abs(delta))
         objectives.append(elastic_net_objective(A, y, w, alpha, rho))
         if max_delta < tol:
             converged = True
             break
-    return CdResult(coeffs=w, converged=converged, n_sweeps=sweeps, objectives=np.asarray(objectives))
+        pattern = np.sign(w)
+        confirmed = signs is not None and np.array_equal(signs, pattern)
+        signs = pattern
+        if confirmed and sweeps < max_iter:
+            polished = _polish_support(A, y, G, c, w, alpha, rho, objectives)
+            if polished is not None:
+                sweeps += 1
+                w, q = polished, G @ polished
+    g = c - G @ w
+    violation = np.where(
+        w != 0.0, np.abs(g - lam2 * w - lam1 * np.sign(w)), np.maximum(np.abs(g) - lam1, 0.0)
+    )
+    return CdResult(
+        coeffs=w,
+        converged=converged,
+        n_sweeps=sweeps,
+        kkt_residual=float(np.max(violation, initial=0.0)),
+        objectives=np.asarray(objectives),
+    )
+
+
+def _polish_support(A, y, G, c, w, alpha, rho, objectives):
+    """Solve (G_SS + lam2 I) w_S = c_S - lam1 s_S on the support S of w and
+    step toward that solution; at the first sign crossing, zero the crossing
+    coordinate and repeat on the smaller support. A step is taken, and its
+    objective appended, only if the objective does not rise (a non-finite
+    step fails that test too).
+
+    Returns the polished w, or None without trying when G_SS + lam2 I is
+    numerically singular (condition number at least 1/eps; at lam2 = 0 that
+    includes every support wider than the N rows). Its principal submatrices,
+    the systems of the smaller supports, are then no worse conditioned.
+    """
+    lam1, lam2 = alpha * rho, alpha * (1.0 - rho)
+    support = np.flatnonzero(w)
+    system = G[np.ix_(support, support)] + lam2 * np.eye(support.size)
+    try:
+        if not np.linalg.cond(system) * np.finfo(float).eps < 1.0:
+            return None
+    except np.linalg.LinAlgError:
+        return None
+    while support.size:
+        signs = np.sign(w[support])
+        target = np.linalg.solve(system, c[support] - lam1 * signs)
+        trial = w.copy()
+        crossed = np.flatnonzero(np.sign(target) != signs)
+        if crossed.size:
+            ws = w[support[crossed]]
+            k = int(np.argmin(ws / (ws - target[crossed])))
+            trial[support] += (ws[k] / (ws[k] - target[crossed[k]])) * (target - w[support])
+            trial[support[crossed[k]]] = 0.0
+        else:
+            trial[support] = target
+        f = elastic_net_objective(A, y, trial, alpha, rho)
+        if not f <= objectives[-1]:
+            return w
+        objectives.append(f)
+        w = trial
+        if not crossed.size:
+            return w
+        keep = np.flatnonzero(w[support])
+        support, system = support[keep], system[np.ix_(keep, keep)]
+    return w
 
 
 def ridge_closed_form(A: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:

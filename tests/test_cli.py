@@ -58,11 +58,17 @@ def test_cli_bad_numeric_input_exits_2(tmp_path, capsys):
         (["figure", "12", "--n-samples", "0"], "--n-samples"),
         (["figure", "all", "--n-samples", "1"], "--n-samples"),
         (["sweep", "--method", "chebyshev", "--grid", "1,0,-2"], "--grid"),
+        (["run", "--method", "lagrange", "--n-samples", "1"], "n_samples must be at least 2"),
+        (["run", "--method", "chebyshev", "--n-samples", "0"], "n_samples must be at least 2"),
+        (["run", "--method", "ridge", "--degree", "-1"], "degree must be at least 1"),
     ]
     for key, value in (("n_samples", "abc"), ("degree", "x")):
         cfg = tmp_path / f"{key}.cfg"
         cfg.write_text(f"method = lagrange\n{key} = {value}\n")
         runs.append((["run", "--config", str(cfg)], f"'{value}'"))
+    cfg = tmp_path / "degree_0.cfg"  # a file value is range-checked like a flag
+    cfg.write_text("method = ridge\ndegree = 0\n")
+    runs.append((["run", "--config", str(cfg)], "degree must be at least 1"))
     for argv, named in runs:
         rc = main(["--out", str(tmp_path), *argv])
         assert rc == 2, argv

@@ -156,6 +156,16 @@ def test_lasso_above_zero_threshold_gives_zero_poly():
     assert np.allclose(fit.coeffs, 0.0)
 
 
+@pytest.mark.parametrize("penalty", [PenaltyKind.LASSO, PenaltyKind.ELASTIC_NET], ids=lambda p: p.value)
+def test_unconverged_coordinate_descent_warns(penalty, recwarn):
+    s = RUNGE.sample(equispaced(41))
+    with pytest.warns(RuntimeWarning, match=rf"{penalty.value} .* 1 sweeps \(tol=1e-08\)"):
+        fit_regularized(s, 20, penalty, alpha=1e-3, max_iter=1)
+    recwarn.clear()
+    fit_regularized(s, 20, penalty, alpha=1e-3)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_ridge_shrinks_endpoint_blowup():
     s = RUNGE.sample(equispaced(11))
     raw = fit_regularized(s, 10, PenaltyKind.NONE)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle_utils import grid_search_elastic_net, mpmath_condition_number
-from runge_lab.core import Basis
+from oracle_utils import cyclic_cd_elastic_net, grid_search_elastic_net, mpmath_condition_number
+from runge_lab.core import RUNGE, Basis
 from runge_lab.linalg import (
     NumericError,
     design_matrix,
@@ -215,6 +217,89 @@ def test_cd_non_convergence_flagged():
     y = rng.normal(size=10)
     res = elastic_net_cd(A, y, alpha=0.0, rho=1.0, tol=1e-15, max_iter=2)
     assert not res.converged
+
+
+def _tall_system():
+    """The tall fits of the solver benchmark: 41 equispaced Runge samples,
+    degree 20 monomials (cond 2.6e7)."""
+    s = RUNGE.sample(equispaced(41))
+    return design_matrix(s.nodes, 20, Basis.MONOMIAL), s.ys
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.5], ids=["lasso", "elastic_net"])
+def test_cd_tall_fits_converge_in_few_sweeps(rho):
+    # plain residual-form cyclic CD needs 4155 (lasso) and 1233 (elastic net)
+    A, y = _tall_system()
+    res = elastic_net_cd(A, y, alpha=1e-3, rho=rho)
+    assert res.converged
+    assert res.n_sweeps <= 25
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.5], ids=["lasso", "elastic_net"])
+def test_cd_kkt_residual_certifies_the_optimum(rho):
+    A, y = _tall_system()
+    alpha = 1e-3
+    scale = np.max(np.abs(A.T @ y)) / len(y)
+    res = elastic_net_cd(A, y, alpha, rho)
+    assert res.kkt_residual <= 1e-6 * scale
+    early = elastic_net_cd(A, y, alpha, rho, max_iter=1)
+    assert not early.converged
+    assert early.kkt_residual > 1e-6 * scale
+    # the same subgradient violation, taken from the rows rather than from G
+    w = early.coeffs
+    g = A.T @ (y - A @ w) / len(y)
+    on = w != 0
+    expect = max(
+        np.max(np.abs(g - alpha * (1 - rho) * w - alpha * rho * np.sign(w))[on], initial=0.0),
+        np.max(np.maximum(np.abs(g) - alpha * rho, 0.0)[~on], initial=0.0),
+    )
+    assert early.kkt_residual == pytest.approx(expect, rel=1e-6)
+
+
+@given(
+    n_obs=st.integers(3, 40),
+    p=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
+    rho=st.sampled_from([0.0, 0.3, 1.0]),
+)
+@settings(max_examples=30, deadline=None)
+def test_cd_never_above_plain_cyclic_cd(n_obs, p, seed, alpha, rho):
+    g = np.random.default_rng(seed)
+    A = g.normal(size=(n_obs, p)) * 10.0 ** g.uniform(-2, 2, size=p)
+    y = g.normal(size=n_obs)
+    # the same tol and sweep budget for both; the budget keeps the oracle quick
+    res = elastic_net_cd(A, y, alpha, rho, max_iter=500)
+    _, f_cyclic = cyclic_cd_elastic_net(A, y, alpha, rho, max_iter=500)
+    f0 = elastic_net_objective(A, y, np.zeros(p), alpha, rho)
+    assert np.all(np.diff(res.objectives) <= 1e-14)
+    assert res.objectives[-1] == elastic_net_objective(A, y, res.coeffs, alpha, rho)
+    assert res.objectives[-1] <= f_cyclic + 1e-12 * f0
+
+
+def test_cd_singular_support_stays_finite():
+    # p > N at alpha = 0: every support wider than N has a singular G_SS
+    A = rng.normal(size=(5, 12))
+    y = rng.normal(size=5)
+    res = elastic_net_cd(A, y, alpha=0.0, rho=1.0)
+    assert np.all(np.isfinite(res.coeffs))
+    assert np.isfinite(res.kkt_residual)
+    assert np.all(np.diff(res.objectives) <= 1e-14)
+
+
+def test_cd_skips_polish_on_numerically_singular_support():
+    # two columns within 1e-9 of each other: G_SS has a condition number
+    # beyond 1/eps, and an exact solve on it lands above plain cyclic CD
+    for seed in range(40):
+        g = np.random.default_rng(seed)
+        a = g.normal(size=10)
+        A = np.column_stack([a, a + 1e-9 * g.normal(size=10), g.normal(size=10)])
+        y = g.normal(size=10)
+        for alpha in (0.0, 1e-3):
+            res = elastic_net_cd(A, y, alpha, rho=1.0, max_iter=500)
+            _, f_cyclic = cyclic_cd_elastic_net(A, y, alpha, rho=1.0, max_iter=500)
+            assert np.all(np.diff(res.objectives) <= 1e-14)
+            assert res.objectives[-1] <= f_cyclic + 1e-12 * elastic_net_objective(A, y, np.zeros(3), alpha, 1.0)
 
 
 def test_ridge_alpha_zero_matches_lstsq():
