@@ -2,14 +2,14 @@
 """Print a SHA-256 manifest of the program's user-visible outputs.
 
 Runs, from the ``src/`` of the checkout this script sits in,
-``runge-lab --svg figure all``, ``runge-lab --svg run --method M`` and
-``runge-lab sweep --method M --grid 5,11,21`` for every registered method
-``M`` (into ``run/`` and ``sweep/`` under the output directory) and
-``runge-lab list-methods``. It then prints one line ``<sha256>  <name>`` for
-every file those commands wrote (named by its path under the output
-directory), one for the stdout of each ``run`` and ``sweep`` (named
-``run/M.stdout`` and ``sweep/M.stdout``, with the output directory written as
-``<out>``) and one for the stdout of ``list-methods``. Run it before and after
+``runge-lab --svg figure all``, ``runge-lab --svg run --method M`` for every
+registered method ``M`` and ``runge-lab sweep --method M --grid 5,11,21`` for
+every one that takes a sample count (into ``run/`` and ``sweep/`` under the
+output directory) and ``runge-lab list-methods``. It then prints one line
+``<sha256>  <name>`` for every file those commands wrote (named by its path
+under the output directory), one for the stdout of each ``run`` and ``sweep``
+(named ``run/M.stdout`` and ``sweep/M.stdout``, with the output directory
+written as ``<out>``) and one for the stdout of ``list-methods``. Run it before and after
 a refactor and ``diff`` the two manifests; a line that differs names an output
 that changed.
 
@@ -56,6 +56,8 @@ def manifest(out_dir: Path) -> list[tuple[str, str]]:
     }
     for method in sorted(METHODS):
         for sub, argv in commands.items():
+            if sub == "sweep" and METHODS[method].family is None:
+                continue  # a method that samples the target itself takes no sample count
             stdout = _cli("--out", str(out_dir / sub), *argv, method)
             rows.append((_sha(stdout.replace(str(out_dir).encode(), b"<out>")), f"{sub}/{method}.stdout"))
     rows += [

@@ -1,54 +1,37 @@
 #!/usr/bin/env python3
 """Compare every mitigation method head-to-head on the Runge function at a
-common budget of 11 samples, printing a ranked error table."""
+common budget of 11 samples, printing a ranked error table.
+
+Each row is one labelled fit of the method registry, run through
+``bench.run_experiment`` on 11 equispaced samples at degree 10 unless its
+``FitSpec`` says otherwise."""
 
 import sys
 
-import numpy as np
+from runge_lab.bench import FitSpec, run_experiment
 
-from runge_lab import (
-    EfciConfig,
-    Interval,
-    PenaltyKind,
-    RUNGE,
-    TisiConfig,
-    chebyshev_interpolate,
-    constrained_mock_chebyshev_lstsq,
-    cubic_spline,
-    efci_fit,
-    equispaced,
-    error_report,
-    fit_regularized,
-    lagrange_interpolate,
-    mock_chebyshev_interpolate,
-    svd_truncated_fit,
-    tikhonov_fit,
-    tisi_fit,
+FITS = (
+    FitSpec("equispaced lagrange", "lagrange"),
+    FitSpec("chebyshev", "chebyshev"),
+    FitSpec("natural spline", "spline"),
+    FitSpec("ridge a=0.01", "ridge", {"alpha": 0.01}),
+    FitSpec("lasso a=0.01", "lasso", {"alpha": 0.01}),
+    FitSpec("elastic net a=0.01", "elastic_net", {"alpha": 0.01}),
+    FitSpec("tikhonov l=0.01 deg12", "tikhonov", {"lam": 0.01}, degree=12),
+    FitSpec("efci (m-sweep)", "efci", {"search": True}),
+    FitSpec("mock-chebyshev (21 grid)", "mock_chebyshev", n_samples=21),
+    FitSpec("constrained mock-cheb LS", "constrained_mock_chebyshev", n_samples=21),
+    FitSpec("tisi improved", "tisi", {"center": "lagrange_cheb"}),
+    FitSpec("svd trunc 1e-2", "svd", {"threshold": 1e-2}),
 )
 
 
 def main() -> int:
-    samples = RUNGE.sample(equispaced(11))
-    wide = RUNGE.sample(equispaced(21))
-    fits = {
-        "equispaced lagrange": lagrange_interpolate(samples),
-        "chebyshev": chebyshev_interpolate(RUNGE, 10),
-        "natural spline": cubic_spline(samples),
-        "ridge a=0.01": fit_regularized(samples, 10, PenaltyKind.RIDGE, alpha=0.01),
-        "lasso a=0.01": fit_regularized(samples, 10, PenaltyKind.LASSO, alpha=0.01),
-        "elastic net a=0.01": fit_regularized(samples, 10, PenaltyKind.ELASTIC_NET, alpha=0.01),
-        "tikhonov l=0.01 deg12": tikhonov_fit(samples, 12, 0.01),
-        "efci (m-sweep)": efci_fit(samples, RUNGE, EfciConfig(degree=10, search=True))[0],
-        "mock-chebyshev (21 grid)": mock_chebyshev_interpolate(wide, 10),
-        "constrained mock-cheb LS": constrained_mock_chebyshev_lstsq(wide, 10),
-        "tisi improved": tisi_fit(RUNGE, Interval(), TisiConfig.improved()),
-        "svd trunc 1e-2": svd_truncated_fit(samples, 10, 1e-2),
-    }
-    rows = [(name, error_report(approx, RUNGE, method=name)) for name, approx in fits.items()]
-    rows.sort(key=lambda kv: kv[1].max_abs)
+    reports = [run_experiment(fit).reports[0] for fit in FITS]
+    reports.sort(key=lambda r: r.max_abs)
     print(f"{'method':<26} {'max_abs':>12} {'rms':>12} {'argmax_x':>10}")
-    for name, r in rows:
-        print(f"{name:<26} {r.max_abs:>12.5g} {r.rms:>12.5g} {r.argmax_x:>10.3f}")
+    for r in reports:
+        print(f"{r.method:<26} {r.max_abs:>12.5g} {r.rms:>12.5g} {r.argmax_x:>10.3f}")
     return 0
 
 

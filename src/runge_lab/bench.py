@@ -118,13 +118,12 @@ def _nodes(samples) -> dict:
     return {"nodes": (samples.xs, samples.ys)}
 
 
+def _lagrange(s, f, degree, interval):
+    return interpolants.lagrange_interpolate(s), _nodes(s)
+
+
 def _penalized(kind: PenaltyKind) -> Callable:
     return lambda s, f, degree, iv, **p: (interpolants.fit_regularized(s, degree, kind, **p), _nodes(s))
-
-
-def _chebyshev(s, f, degree, interval):
-    approx = interpolants.chebyshev_interpolate(f, len(s) - 1, interval)
-    return approx, {"nodes": (approx.nodes.xs, approx.ys)}
 
 
 def _efci(s, f, degree, interval, **p):
@@ -135,8 +134,9 @@ def _efci(s, f, degree, interval, **p):
 METHODS: dict[str, MethodInfo] = {
     info.name: info
     for info in (
-        MethodInfo("lagrange", {}, lambda s, f, d, iv: (interpolants.lagrange_interpolate(s), _nodes(s))),
-        MethodInfo("chebyshev", {}, _chebyshev, family="chebyshev_roots"),
+        MethodInfo("lagrange", {}, _lagrange),
+        # Chebyshev interpolation is Lagrange interpolation at the Chebyshev roots
+        MethodInfo("chebyshev", {}, _lagrange, family="chebyshev_roots"),
         MethodInfo("spline", {}, lambda s, f, d, iv: (interpolants.cubic_spline(s), _nodes(s))),
         MethodInfo("unregularized", {}, _penalized(PenaltyKind.NONE)),
         MethodInfo("ridge", {"alpha": float}, _penalized(PenaltyKind.RIDGE)),
@@ -186,6 +186,13 @@ def _method(name: str) -> MethodInfo:
     return info
 
 
+def check_sampled(name: str) -> None:
+    """Raise UsageError unless `name` is a registered method fitted to samples
+    drawn for it: a method that samples the target itself takes no sample count."""
+    if _method(name).family is None:
+        raise UsageError(f"method {name!r} samples the target itself and takes no sample count")
+
+
 # ---------------------------------------------------------------------------
 # Figures as data
 
@@ -193,13 +200,13 @@ def _method(name: str) -> MethodInfo:
 @dataclass(frozen=True)
 class FitSpec:
     """One labelled fit: a registered method with the parameters set for it,
-    fitted to n samples of a node family."""
+    fitted to n_samples samples of a node family."""
 
     label: str
     method: str
     params: dict = field(default_factory=dict)
-    n: int = 11
-    degree: int | None = 10  # None: n - 1
+    n_samples: int = 11
+    degree: int | None = 10  # None: _fit's default degree for n_samples
     family: str | None = None  # None: the method's own
 
 
@@ -219,7 +226,7 @@ def _svd_figure(resizable=False, **sampling) -> FigureSpec:
 
 
 FIGURES: dict[int, FigureSpec] = {
-    1: FigureSpec(tuple(FitSpec(f"equispaced n={n}", "lagrange", n=n) for n in (5, 10, 15, 20))),
+    1: FigureSpec(tuple(FitSpec(f"equispaced n={n}", "lagrange", n_samples=n) for n in (5, 10, 15, 20))),
     2: FigureSpec(
         (FitSpec("chebyshev", "chebyshev"), FitSpec("spline", "spline")),
         (("equispaced nodes", "spline", "nodes"), ("chebyshev nodes", "chebyshev", "nodes")),
@@ -242,20 +249,23 @@ FIGURES: dict[int, FigureSpec] = {
         (("sample nodes", "efci", "nodes"), ("efc positions", "efci", "efc positions")),
     ),
     6: FigureSpec(
-        (FitSpec("least squares", "unregularized", n=20), FitSpec("mock-chebyshev", "mock_chebyshev", n=20)),
+        (
+            FitSpec("least squares", "unregularized", n_samples=20),
+            FitSpec("mock-chebyshev", "mock_chebyshev", n_samples=20),
+        ),
         (("grid points", "least squares", "nodes"),),
     ),
     7: FigureSpec((FitSpec("tisi", "tisi"),)),
     8: FigureSpec((FitSpec("tisi improved", "tisi", {"center": "lagrange_cheb"}),)),  # TisiConfig.improved()
     9: FigureSpec(
         (
-            FitSpec("equispaced", "lagrange", n=21),
-            FitSpec("chebyshev-lobatto", "lagrange", n=21, family="chebyshev_lobatto"),
-            FitSpec("every-other subset", "lagrange", n=21, family="every_other"),
+            FitSpec("equispaced", "lagrange", n_samples=21),
+            FitSpec("chebyshev-lobatto", "lagrange", n_samples=21, family="chebyshev_lobatto"),
+            FitSpec("every-other subset", "lagrange", n_samples=21, family="every_other"),
         )
     ),
     11: _svd_figure(),
-    12: _svd_figure(resizable=True, n=21, degree=None),
+    12: _svd_figure(resizable=True, n_samples=21, degree=None),
     13: _svd_figure(family="chebyshev_roots"),
 }
 SUPPORTED_FIGURES = tuple(FIGURES)
@@ -266,12 +276,12 @@ SUPPORTED_FIGURES = tuple(FIGURES)
 
 
 def _fit(spec: FitSpec, f: TargetFunction, interval: Interval):
-    """(approximant, named point sets) of one fit spec."""
+    """(approximant, named point sets) of one fit spec; an unset degree is max(n_samples - 1, 1)."""
     info = _method(spec.method)
     params = _coerce_params(info, spec.params)
     family = spec.family or info.family
-    samples = f.sample(NODE_FAMILIES[family](spec.n, interval)) if family else None
-    degree = spec.n - 1 if spec.degree is None else spec.degree
+    samples = f.sample(NODE_FAMILIES[family](spec.n_samples, interval)) if family else None
+    degree = max(spec.n_samples - 1, 1) if spec.degree is None else spec.degree
     return info.build(samples, f, degree, interval, **params)
 
 
@@ -291,15 +301,14 @@ def _bundle(figure: FigureSpec, f: TargetFunction, interval: Interval, grid_size
 
 def run_experiment(
     fit: FitSpec,
-    f: TargetFunction = RUNGE,
     grid_size: int = DEFAULT_GRID_SIZE,
     output_dir: str | None = None,
     emit_svg_file: bool = False,
 ) -> ReportBundle:
-    """One fit as a one-fit figure on [-1, 1], marking the nodes it was fitted
-    to; the files are named after its method."""
+    """One fit of the Runge function as a one-fit figure on [-1, 1], marking the
+    nodes it was fitted to; the files are named after its method."""
     figure = FigureSpec((fit,), (("sample nodes", fit.label, "nodes"),))
-    bundle = _bundle(figure, f, Interval(), grid_size)
+    bundle = _bundle(figure, RUNGE, Interval(), grid_size)
     _maybe_write(bundle, output_dir, emit_svg_file, name=fit.method)
     return bundle
 
@@ -320,7 +329,7 @@ def run_figure(
         if not figure.resizable:
             resizable = ", ".join(str(fid) for fid, spec in FIGURES.items() if spec.resizable)
             raise UsageError(f"figure {figure_id} has fixed sample counts; resizable: {resizable}")
-        fits = tuple(dataclasses.replace(spec, n=n_samples) for spec in figure.fits)
+        fits = tuple(dataclasses.replace(spec, n_samples=n_samples) for spec in figure.fits)
         figure = dataclasses.replace(figure, fits=fits)
     bundle = _bundle(figure, RUNGE, Interval(), grid_size)
     _maybe_write(bundle, output_dir, emit_svg_file, name=f"figure{figure_id}")
@@ -487,13 +496,11 @@ def read_curve_csv(path) -> list[Curve]:
     return [Curve(header[i], xs, np.asarray(cols[i])) for i in range(1, len(header))]
 
 
-def sweep(
-    method: str, grid, f: TargetFunction = RUNGE, grid_size: int = DEFAULT_GRID_SIZE
-) -> list[metrics.StudyEntry]:
-    """Convergence study of a registered method over sample counts."""
-    _method(method)
+def sweep(method: str, grid, grid_size: int = DEFAULT_GRID_SIZE) -> list[metrics.StudyEntry]:
+    """Convergence study of a registered method on the Runge function over sample counts."""
+    check_sampled(method)
 
-    def handle(func, n):
-        return _fit(FitSpec(method, method, n=n, degree=max(n - 1, 1)), func, Interval())[0]
+    def handle(f, n):
+        return _fit(FitSpec(method, method, n_samples=n, degree=None), f, Interval())[0]
 
-    return metrics.convergence_study(handle, f, list(grid), grid_size=grid_size, method_name=method)
+    return metrics.convergence_study(handle, RUNGE, list(grid), grid_size=grid_size, method_name=method)

@@ -14,8 +14,8 @@ from .bench import FitSpec, UsageError, default_output_dir
 from .linalg import NumericError
 from .metrics import DEFAULT_GRID_SIZE
 
-# run inputs besides method parameters -> (their FitSpec field, least value)
-_FIT_FIELDS = {"n_samples": ("n", 2), "degree": ("degree", 1)}
+# run inputs besides method parameters, each a FitSpec field -> its least value
+_FIT_FIELDS = {"n_samples": 2, "degree": 1}
 
 
 def _parse_kv_params(pairs):
@@ -82,8 +82,8 @@ def _cmd_figure(args, out_dir):
             ids = [int(args.figure_id)]
         except ValueError:
             raise UsageError(f"figure id must be an integer or 'all', got {args.figure_id!r}")
-    if args.n_samples is not None and args.n_samples < 2:
-        raise UsageError(f"--n-samples must be at least 2, got {args.n_samples}")
+    if args.n_samples is not None and args.n_samples < _FIT_FIELDS["n_samples"]:
+        raise UsageError(f"--n-samples must be at least {_FIT_FIELDS['n_samples']}, got {args.n_samples}")
     for fid in ids:
         # 'all' resizes the resizable figures; run_figure rejects any other override
         resize = args.figure_id != "all" or bench.FIGURES[fid].resizable
@@ -115,11 +115,12 @@ def _cmd_run(args, out_dir):
     except ValueError as exc:
         raise UsageError(f"{args.config}: n_samples and degree must be integers ({exc})")
     for key, value in sizes.items():
-        least = _FIT_FIELDS[key][1]
-        if value < least:
-            raise UsageError(f"{key} must be at least {least}, got {value}")
+        if value < _FIT_FIELDS[key]:
+            raise UsageError(f"{key} must be at least {_FIT_FIELDS[key]}, got {value}")
+    if "n_samples" in sizes:
+        bench.check_sampled(method)
     bundle = bench.run_experiment(
-        FitSpec(method, method, params, **{_FIT_FIELDS[key][0]: value for key, value in sizes.items()}),
+        FitSpec(method, method, params, **sizes),
         grid_size=args.grid_size,
         output_dir=out_dir,
         emit_svg_file=args.svg,

@@ -66,9 +66,9 @@ class Interval:
         """Inverse of :meth:`to_unit`."""
         return self.lo + (np.asarray(t, dtype=float) + 1.0) * self.width / 2.0
 
-    def contains(self, x, slack: float = 1e-12) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack))
+        return bool(np.all(x >= self.lo - 1e-12) and np.all(x <= self.hi + 1e-12))  # rounding slack
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -163,9 +163,6 @@ class Approximant:
 
     def evaluate(self, xs) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def __call__(self, xs) -> np.ndarray:
-        return self.evaluate(xs)
 
     @property
     def n_params(self) -> int:  # pragma: no cover - abstract

@@ -41,12 +41,8 @@ def lagrange_interpolate(samples: SampleSet) -> Barycentric:
 
 
 def chebyshev_interpolate(f: TargetFunction, n: int, interval: Interval = Interval()) -> Barycentric:
-    """Interpolate f at the n+1 roots of T_{n+1} on the interval."""
-    nodes = chebyshev_roots(n, interval)
-    if len(nodes) < 2:
-        # degenerate single-node case: pad with the midpoint-adjacent root of T_2
-        nodes = chebyshev_roots(1, interval)
-    return Barycentric.fit(f.sample(nodes))
+    """Interpolate f at the n+1 roots of T_{n+1} on the interval (n >= 1)."""
+    return Barycentric.fit(f.sample(chebyshev_roots(n, interval)))
 
 
 def cubic_spline(samples: SampleSet) -> Piecewise:

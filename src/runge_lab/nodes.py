@@ -63,7 +63,7 @@ def chebyshev_lobatto(n: int, interval: Interval = Interval()) -> NodeSet:
     return NodeSet(interval, mapped, NodeFamily.CHEBYSHEV_LOBATTO)
 
 
-def mock_chebyshev_subset(source: NodeSet, m: int, exclude_endpoints: bool = False) -> SubsetSelection:
+def mock_chebyshev_subset(source: NodeSet, m: int) -> SubsetSelection:
     """Pick the source node nearest each of the m+1 Chebyshev-Lobatto targets.
 
     Ties break toward the smaller abscissa; duplicate picks collapse, so the
@@ -74,11 +74,7 @@ def mock_chebyshev_subset(source: NodeSet, m: int, exclude_endpoints: bool = Fal
     if m < 1:
         raise ValueError("need m >= 1 targets")
     targets = chebyshev_lobatto(m, source.interval).xs
-    if exclude_endpoints:
-        targets = targets[1:-1]
-    picked = []
-    for t in targets:
-        picked.append(int(np.argmin(np.abs(source.xs - t))))  # argmin ties -> first = smaller x
+    picked = [int(np.argmin(np.abs(source.xs - t))) for t in targets]  # argmin ties -> first = smaller x
     indices = sorted(set(picked))
     return SubsetSelection(source=source, indices=tuple(indices), targets=targets)
 

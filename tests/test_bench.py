@@ -34,7 +34,7 @@ def _tiny_bundle(curves, markers=()):
 
 
 def test_run_experiment_lagrange_through_samples():
-    bundle = run_experiment(FitSpec("lagrange", "lagrange", n=3), grid_size=11)
+    bundle = run_experiment(FitSpec("lagrange", "lagrange", n_samples=3), grid_size=11)
     xs = bundle.curves[1].xs
     ys = bundle.curves[1].ys
     for x, y in [(-1.0, 1 / 26), (0.0, 1.0), (1.0, 1 / 26)]:
@@ -42,8 +42,8 @@ def test_run_experiment_lagrange_through_samples():
 
 
 def test_run_experiment_svd_zero_threshold_matches_lagrange():
-    svd_fit = FitSpec("svd", "svd", {"threshold": "0"}, n=11, degree=10)
-    lag_fit = FitSpec("lagrange", "lagrange", n=11)
+    svd_fit = FitSpec("svd", "svd", {"threshold": "0"}, n_samples=11, degree=10)
+    lag_fit = FitSpec("lagrange", "lagrange", n_samples=11)
     a = run_experiment(svd_fit).curves[1].ys
     b = run_experiment(lag_fit).curves[1].ys
     assert np.max(np.abs(a - b)) < 1e-6
@@ -83,6 +83,18 @@ LIBRARY_CALLS = {
 def test_registry_states_no_default_of_its_own(method):
     curve = run_experiment(FitSpec(method, method)).curves[1]
     assert np.array_equal(curve.ys, LIBRARY_CALLS[method]().evaluate(curve.xs))
+
+
+def test_chebyshev_samples_the_target_once():
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return runge(x)
+
+    approx, _ = bench._fit(FitSpec("chebyshev", "chebyshev"), TargetFunction("runge", counted), Interval())
+    assert calls == [11]
+    assert np.array_equal(approx.nodes.xs, chebyshev_roots(10).xs)
 
 
 def test_run_marks_only_the_nodes_the_fit_used():
@@ -303,6 +315,14 @@ def test_sweep_and_unknown_method():
     assert len(entries) == 2 and entries[1].report.max_abs < entries[0].report.max_abs
     with pytest.raises(UsageError):
         bench.sweep("nope", [5])
+    with pytest.raises(UsageError, match="samples the target itself"):
+        bench.sweep("tisi", [5, 11])  # TISI samples each band itself
+
+
+def test_sweep_records_a_one_root_chebyshev_fit_as_failed():
+    one, five = bench.sweep("chebyshev", [1, 5])
+    assert one.report is None and "need at least two samples" in one.error
+    assert five.report is not None
 
 
 def test_default_output_dir_env(monkeypatch):

@@ -61,6 +61,9 @@ def test_cli_bad_numeric_input_exits_2(tmp_path, capsys):
         (["run", "--method", "lagrange", "--n-samples", "1"], "n_samples must be at least 2"),
         (["run", "--method", "chebyshev", "--n-samples", "0"], "n_samples must be at least 2"),
         (["run", "--method", "ridge", "--degree", "-1"], "degree must be at least 1"),
+        # TISI samples each band itself, so it takes no sample count
+        (["sweep", "--method", "tisi", "--grid", "5,11"], "samples the target itself"),
+        (["run", "--method", "tisi", "--n-samples", "5", "--degree", "3"], "samples the target itself"),
     ]
     for key, value in (("n_samples", "abc"), ("degree", "x")):
         cfg = tmp_path / f"{key}.cfg"
@@ -69,6 +72,9 @@ def test_cli_bad_numeric_input_exits_2(tmp_path, capsys):
     cfg = tmp_path / "degree_0.cfg"  # a file value is range-checked like a flag
     cfg.write_text("method = ridge\ndegree = 0\n")
     runs.append((["run", "--config", str(cfg)], "degree must be at least 1"))
+    cfg = tmp_path / "tisi.cfg"  # and so is a sample count from the file
+    cfg.write_text("method = tisi\nn_samples = 5\n")
+    runs.append((["run", "--config", str(cfg)], "samples the target itself"))
     for argv, named in runs:
         rc = main(["--out", str(tmp_path), *argv])
         assert rc == 2, argv

@@ -75,6 +75,11 @@ def test_chebyshev_interpolate_constant():
         assert _max_err(chebyshev_interpolate(one, n), one) < 1e-13
 
 
+def test_chebyshev_interpolate_needs_two_roots():
+    with pytest.raises(ValueError, match="at least two"):
+        chebyshev_interpolate(RUNGE, 0)
+
+
 def test_chebyshev_interpolate_cubic_exact():
     cubic = polynomial_target([0.0, 0.0, 0.0, 1.0])
     assert _max_err(chebyshev_interpolate(cubic, 3), cubic) < 1e-12

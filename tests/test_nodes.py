@@ -91,11 +91,6 @@ def test_mock_subset_oracle_equivalence(n, m):
     assert list(sel.indices) == expect
 
 
-def test_mock_subset_exclude_endpoints():
-    sel = mock_chebyshev_subset(equispaced(20), 10, exclude_endpoints=True)
-    assert len(sel.targets) == 9
-
-
 def test_every_other_subset():
     assert every_other_subset(equispaced(5)).indices == (0, 2, 4)
     assert every_other_subset(equispaced(4)).indices == (0, 2)
