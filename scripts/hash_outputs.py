@@ -56,7 +56,7 @@ def manifest(out_dir: Path) -> list[tuple[str, str]]:
     }
     for method in sorted(METHODS):
         for sub, argv in commands.items():
-            if sub == "sweep" and METHODS[method].family is None:
+            if sub == "sweep" and "n_samples" not in METHODS[method].inputs:
                 continue  # a method that samples the target itself takes no sample count
             stdout = _cli("--out", str(out_dir / sub), *argv, method)
             rows.append((_sha(stdout.replace(str(out_dir).encode(), b"<out>")), f"{sub}/{method}.stdout"))

@@ -82,7 +82,8 @@ class MethodInfo:
     name: str
     params: dict  # key -> python type of the value, or the tuple of allowed enum members
     build: Callable
-    family: str | None = "equispaced"  # nodes it is fitted to; None: it samples f itself
+    inputs: tuple[str, ...] = ("n_samples",)  # run inputs it reads; without n_samples it samples f itself
+    family: str = "equispaced"  # nodes its n_samples samples are drawn on
 
 
 def _coerce_params(info: MethodInfo, raw: dict) -> dict:
@@ -111,6 +112,8 @@ def _coerce_params(info: MethodInfo, raw: dict) -> dict:
                 out[key] = typ(value)
         except (TypeError, ValueError):
             raise UsageError(f"parameter {key!r} for method {info.name!r} must be {typ.__name__}")
+        if typ is float and not np.isfinite(out[key]):
+            raise UsageError(f"parameter {key!r} for method {info.name!r} must be finite, got {value}")
     return out
 
 
@@ -131,6 +134,7 @@ def _efci(s, f, degree, interval, **p):
     return approx, {**_nodes(s), "efc positions": (positions, f(positions))}
 
 
+_FITTED = ("n_samples", "degree")  # the run inputs a least-squares or penalized fit reads
 METHODS: dict[str, MethodInfo] = {
     info.name: info
     for info in (
@@ -138,16 +142,19 @@ METHODS: dict[str, MethodInfo] = {
         # Chebyshev interpolation is Lagrange interpolation at the Chebyshev roots
         MethodInfo("chebyshev", {}, _lagrange, family="chebyshev_roots"),
         MethodInfo("spline", {}, lambda s, f, d, iv: (interpolants.cubic_spline(s), _nodes(s))),
-        MethodInfo("unregularized", {}, _penalized(PenaltyKind.NONE)),
-        MethodInfo("ridge", {"alpha": float}, _penalized(PenaltyKind.RIDGE)),
-        MethodInfo("lasso", {"alpha": float}, _penalized(PenaltyKind.LASSO)),
-        MethodInfo("elastic_net", {"alpha": float, "rho": float}, _penalized(PenaltyKind.ELASTIC_NET)),
+        MethodInfo("unregularized", {}, _penalized(PenaltyKind.NONE), _FITTED),
+        MethodInfo("ridge", {"alpha": float}, _penalized(PenaltyKind.RIDGE), _FITTED),
+        MethodInfo("lasso", {"alpha": float}, _penalized(PenaltyKind.LASSO), _FITTED),
+        MethodInfo(
+            "elastic_net", {"alpha": float, "rho": float}, _penalized(PenaltyKind.ELASTIC_NET), _FITTED
+        ),
         MethodInfo(
             "tikhonov",
             {"lam": float, "operator": tuple(TikhonovOperator)},
             lambda s, f, d, iv, **p: (interpolants.tikhonov_fit(s, d, **p), _nodes(s)),
+            _FITTED,
         ),
-        MethodInfo("efci", {"m": int, "epsilon": float, "weight": float, "search": bool}, _efci),
+        MethodInfo("efci", {"m": int, "epsilon": float, "weight": float, "search": bool}, _efci, _FITTED),
         MethodInfo(
             "mock_chebyshev",
             {"m": int},
@@ -168,12 +175,13 @@ METHODS: dict[str, MethodInfo] = {
                 "nodes_per_interval": int,
             },
             lambda s, f, d, iv, **p: (interpolants.tisi_fit(f, iv, TisiConfig(**p)), {}),
-            family=None,
+            inputs=(),
         ),
         MethodInfo(
             "svd",
             {"threshold": float, "basis": (Basis.MONOMIAL, Basis.LEGENDRE)},
             lambda s, f, d, iv, **p: (interpolants.svd_truncated_fit(s, d, **p), _nodes(s)),
+            _FITTED,
         ),
     )
 }
@@ -186,11 +194,14 @@ def _method(name: str) -> MethodInfo:
     return info
 
 
-def check_sampled(name: str) -> None:
-    """Raise UsageError unless `name` is a registered method fitted to samples
-    drawn for it: a method that samples the target itself takes no sample count."""
-    if _method(name).family is None:
+def check_inputs(name: str, given) -> None:
+    """Raise UsageError unless `name` is a registered method that reads each
+    run input (FitSpec's n_samples, degree) named in `given`."""
+    inputs = _method(name).inputs
+    if "n_samples" in given and "n_samples" not in inputs:
         raise UsageError(f"method {name!r} samples the target itself and takes no sample count")
+    if "degree" in given and "degree" not in inputs:
+        raise UsageError(f"method {name!r} takes no degree; its nodes or its parameters set it")
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +290,8 @@ def _fit(spec: FitSpec, f: TargetFunction, interval: Interval):
     """(approximant, named point sets) of one fit spec; an unset degree is max(n_samples - 1, 1)."""
     info = _method(spec.method)
     params = _coerce_params(info, spec.params)
-    family = spec.family or info.family
-    samples = f.sample(NODE_FAMILIES[family](spec.n_samples, interval)) if family else None
+    family = NODE_FAMILIES[spec.family or info.family]
+    samples = f.sample(family(spec.n_samples, interval)) if "n_samples" in info.inputs else None
     degree = max(spec.n_samples - 1, 1) if spec.degree is None else spec.degree
     return info.build(samples, f, degree, interval, **params)
 
@@ -498,7 +509,7 @@ def read_curve_csv(path) -> list[Curve]:
 
 def sweep(method: str, grid, grid_size: int = DEFAULT_GRID_SIZE) -> list[metrics.StudyEntry]:
     """Convergence study of a registered method on the Runge function over sample counts."""
-    check_sampled(method)
+    check_inputs(method, ("n_samples",))
 
     def handle(f, n):
         return _fit(FitSpec(method, method, n_samples=n, degree=None), f, Interval())[0]

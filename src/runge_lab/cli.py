@@ -117,8 +117,7 @@ def _cmd_run(args, out_dir):
     for key, value in sizes.items():
         if value < _FIT_FIELDS[key]:
             raise UsageError(f"{key} must be at least {_FIT_FIELDS[key]}, got {value}")
-    if "n_samples" in sizes:
-        bench.check_sampled(method)
+    bench.check_inputs(method, sizes)
     bundle = bench.run_experiment(
         FitSpec(method, method, params, **sizes),
         grid_size=args.grid_size,

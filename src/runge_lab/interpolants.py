@@ -89,6 +89,17 @@ def cubic_spline(samples: SampleSet) -> Piecewise:
 # Penalized polynomial fits
 
 
+def _stacked_fit(samples: SampleSet, degree: int, rows: np.ndarray | None = None) -> BasisPoly:
+    """Monomial fit minimizing ||A c - y||^2 + ||rows c||^2, A the design matrix of the unit
+    coordinate t, by one pivoted-QR solve of [A; rows] c = [y; 0]. A zero row adds nothing
+    and is dropped, so zero or no rows give exactly the plain least-squares fit."""
+    A = linalg.design_matrix(samples.nodes, degree, Basis.MONOMIAL)
+    if rows is not None:
+        A = np.vstack([A, rows[rows.any(axis=1)]])
+    coeffs = linalg.lstsq(A, np.concatenate([samples.ys, np.zeros(len(A) - len(samples))]))
+    return BasisPoly(Basis.MONOMIAL, coeffs, samples.interval)
+
+
 class PenaltyKind(enum.Enum):
     NONE = "none"
     RIDGE = "ridge"
@@ -102,14 +113,15 @@ def fit_regularized(
     penalty: PenaltyKind | str = PenaltyKind.NONE,
     alpha: float = 0.01,
     rho: float = 0.5,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
+    tol: float = linalg.CD_TOL,
+    max_iter: int = linalg.CD_MAX_ITER,
 ) -> BasisPoly:
     """Monomial fit of the given degree under the chosen penalty.
 
     With no penalty this is the plain (overfit-prone) least-squares baseline;
-    ridge takes the closed form, lasso and elastic net run coordinate descent
-    and warn (RuntimeWarning) when it stops at max_iter without converging.
+    ridge, (1/2N)||A c - y||^2 + (alpha/2)||c||^2, is tikhonov_fit with
+    lam = sqrt(N*alpha); lasso and elastic net run coordinate descent and warn
+    (RuntimeWarning) when it stops at max_iter without converging.
     The monomials and ``alpha`` act in the unit coordinate t (see BasisPoly).
     """
     penalty = PenaltyKind(penalty)
@@ -117,23 +129,23 @@ def fit_regularized(
         raise ValueError("degree must be >= 1")
     if len(samples) < 2:
         raise ValueError("need at least two samples")
-    A = linalg.design_matrix(samples.nodes, degree, Basis.MONOMIAL)
-    y = samples.ys
+    if not 0 <= alpha < np.inf:
+        raise ValueError("alpha must be finite and >= 0")
     if penalty is PenaltyKind.NONE:
-        coeffs = linalg.lstsq(A, y)
-    elif penalty is PenaltyKind.RIDGE:
-        coeffs = linalg.ridge_closed_form(A, y, alpha)
-    else:  # lasso is the elastic net with rho = 1
-        rho = 1.0 if penalty is PenaltyKind.LASSO else rho
-        result = linalg.elastic_net_cd(A, y, alpha, rho=rho, tol=tol, max_iter=max_iter)
-        if not result.converged:
-            warnings.warn(
-                f"{penalty.value} coordinate descent did not converge in {result.n_sweeps} sweeps (tol={tol:g})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        coeffs = result.coeffs
-    return BasisPoly(Basis.MONOMIAL, coeffs, samples.interval)
+        return _stacked_fit(samples, degree)
+    if penalty is PenaltyKind.RIDGE:
+        return _stacked_fit(samples, degree, np.sqrt(len(samples) * alpha) * np.eye(degree + 1))
+    # lasso is the elastic net with rho = 1
+    rho = 1.0 if penalty is PenaltyKind.LASSO else rho
+    A = linalg.design_matrix(samples.nodes, degree, Basis.MONOMIAL)
+    result = linalg.elastic_net_cd(A, samples.ys, alpha, rho=rho, tol=tol, max_iter=max_iter)
+    if not result.converged:
+        warnings.warn(
+            f"{penalty.value} coordinate descent did not converge in {result.n_sweeps} sweeps (tol={tol:g})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return BasisPoly(Basis.MONOMIAL, result.coeffs, samples.interval)
 
 
 class TikhonovOperator(enum.Enum):
@@ -152,15 +164,11 @@ def tikhonov_fit(
     operator = TikhonovOperator(operator)
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    A = linalg.design_matrix(samples.nodes, degree, Basis.MONOMIAL)
+    if not 0 <= lam < np.inf:
+        raise ValueError("lambda must be finite and >= 0")
     eye = np.eye(degree + 1)
     L = lam * (eye if operator is TikhonovOperator.IDENTITY else np.diff(eye, 2, axis=0))
-    stacked = np.vstack([A, L])
-    rhs = np.concatenate([samples.ys, np.zeros(L.shape[0])])
-    coeffs = linalg.lstsq(stacked, rhs)
-    return BasisPoly(Basis.MONOMIAL, coeffs, samples.interval)
+    return _stacked_fit(samples, degree, L)
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +189,10 @@ class EfciConfig:
     def __post_init__(self):
         if self.m < 2 or self.m % 2:
             raise ValueError("m must be an even integer >= 2")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
-        if self.weight <= 0:
-            raise ValueError("weight must be > 0")
+        if not 0 < self.weight < np.inf:
+            raise ValueError("weight must be finite and > 0")
 
 
 def _efc_positions(interval: Interval, m: int, epsilon: float) -> np.ndarray:
@@ -197,14 +205,9 @@ def _efc_positions(interval: Interval, m: int, epsilon: float) -> np.ndarray:
 def _efci_single(samples: SampleSet, f: TargetFunction, cfg: EfciConfig, m: int):
     interval = samples.interval
     positions = _efc_positions(interval, m, cfg.epsilon)
-    A = linalg.design_matrix(samples.nodes, cfg.degree, Basis.MONOMIAL)
     j = np.arange(cfg.degree + 1)  # C[i, j] = d^2/dt^2 of t^j at the i-th position
     C = j * (j - 1) * interval.to_unit(positions)[:, None] ** np.maximum(j - 2, 0)
-    w = np.sqrt(cfg.weight)
-    stacked = np.vstack([A, w * C])
-    rhs = np.concatenate([samples.ys, np.zeros(len(positions))])
-    coeffs = linalg.lstsq(stacked, rhs)
-    approx = BasisPoly(Basis.MONOMIAL, coeffs, interval)
+    approx = _stacked_fit(samples, cfg.degree, np.sqrt(cfg.weight) * C)
     data_term = float(np.sum((approx.evaluate(samples.xs) - samples.ys) ** 2))
     efc_term = float(np.sum((approx.evaluate(positions) - f(positions)) ** 2))
     return approx, positions, data_term + efc_term
@@ -308,7 +311,7 @@ class TisiConfig:
     nodes_per_interval: int = 11
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
         if self.nodes_per_interval < 2:
             raise ValueError("nodes_per_interval must be >= 2")

@@ -1,6 +1,6 @@
-"""Dense linear algebra for design systems: pivoted-QR least squares,
-SVD with relative truncation, Thomas tridiagonal solve, coordinate descent
-for L1/elastic-net penalties, and the ridge closed form."""
+"""Dense linear algebra for design systems: pivoted-QR least squares (which
+also solves a quadratic penalty stacked as extra rows), SVD with relative
+truncation, Thomas tridiagonal solve, coordinate descent for L1/elastic-net."""
 
 from __future__ import annotations
 
@@ -102,7 +102,7 @@ def truncated_pinv_solve(A: np.ndarray, y: np.ndarray, threshold: float) -> tupl
 
     Returns the coefficient vector and the kept rank.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError("threshold must be >= 0")
     y = np.asarray(y, dtype=float)
     f = svd(A)
@@ -148,6 +148,11 @@ def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: n
     return x
 
 
+# coordinate descent stops once a full sweep moves no coordinate by CD_TOL, or after CD_MAX_ITER sweeps
+CD_TOL = 1e-8
+CD_MAX_ITER = 100_000
+
+
 @dataclass(frozen=True)
 class CdResult:
     coeffs: np.ndarray
@@ -172,8 +177,8 @@ def elastic_net_cd(
     y: np.ndarray,
     alpha: float,
     rho: float,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
+    tol: float = CD_TOL,
+    max_iter: int = CD_MAX_ITER,
 ) -> CdResult:
     """Cyclic coordinate descent on
     (1/2N)||y - Aw||^2 + alpha*rho*||w||_1 + alpha*(1-rho)/2*||w||_2^2.
@@ -201,7 +206,7 @@ def elastic_net_cd(
         raise ValueError("A rows must match rhs length")
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError("alpha must be >= 0")
     n_obs, p = A.shape
     G = A.T @ A / n_obs
@@ -295,24 +300,3 @@ def _polish_support(A, y, G, c, w, alpha, rho, objectives):
         keep = np.flatnonzero(w[support])
         support, system = support[keep], system[np.ix_(keep, keep)]
     return w
-
-
-def ridge_closed_form(A: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
-    """Solve (A^T A + N*alpha*I) c = A^T y by Cholesky, N the number of rows.
-
-    The factor N matches the 1/2N data-term normalization used by the
-    coordinate-descent objective at rho = 0.
-    """
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if A.ndim != 2 or A.size == 0 or A.shape[0] != len(y):
-        raise ValueError("A must be non-empty with rows matching rhs length")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    M = A.T @ A + A.shape[0] * alpha * np.eye(A.shape[1])
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("ridge system not positive definite") from exc
-    z = np.linalg.solve(L, A.T @ y)
-    return np.linalg.solve(L.T, z)

@@ -39,7 +39,6 @@ from runge_lab.linalg import (
     design_matrix,
     elastic_net_cd,
     lstsq,
-    ridge_closed_form,
     svd,
     truncated_pinv_solve,
 )
@@ -163,7 +162,11 @@ def test_criterion_4_regularization_suite():
         kkt = np.all(np.abs(A.T @ y) / len(y) <= alpha0 * (1 + 1e-12))
         b_ok = np.allclose(lres.coeffs, 0.0) and kkt
         # (c) ridge norm non-increasing over increasing alphas
-        norms = [np.linalg.norm(ridge_closed_form(A, y, a)) for a in (0.0, 0.01, 0.1, 1.0, 10.0)]
+        s = RUNGE.sample(equispaced(11))
+        norms = [
+            np.linalg.norm(fit_regularized(s, 5, PenaltyKind.RIDGE, alpha=a).coeffs)
+            for a in (0.0, 0.01, 0.1, 1.0, 10.0)
+        ]
         c_ok = all(nb <= na + 1e-12 for na, nb in zip(norms, norms[1:]))
         # (d) elastic-net objective non-increasing per sweep
         B = rng.normal(size=(40, 8))

@@ -1,5 +1,7 @@
 import csv
 
+import pytest
+
 from runge_lab.cli import main
 
 
@@ -81,11 +83,46 @@ def test_cli_bad_numeric_input_exits_2(tmp_path, capsys):
         assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "method, param",
+    [
+        ("ridge", "alpha=nan"),
+        ("lasso", "alpha=nan"),
+        ("ridge", "alpha=inf"),
+        ("tikhonov", "lam=nan"),
+        ("efci", "epsilon=nan"),
+        ("svd", "threshold=-inf"),
+    ],
+)
+def test_cli_non_finite_param_exits_2(tmp_path, capsys, method, param):
+    rc = main(["--out", str(tmp_path), "run", "--method", method, "--param", param])
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_cli_run_refuses_an_input_the_method_does_not_read(tmp_path, capsys):
+    cfg = tmp_path / "lagrange.cfg"
+    cfg.write_text("method = lagrange\ndegree = 3\n")
+    refused = [
+        ["--method", "lagrange", "--n-samples", "5", "--degree", "3"],
+        ["--method", "spline", "--degree", "3"],
+        ["--config", str(cfg)],
+    ]
+    for argv in refused:
+        rc = main(["--out", str(tmp_path), "run", *argv])
+        assert rc == 2, argv
+        assert "takes no degree" in capsys.readouterr().err
+    rc = main(["--out", str(tmp_path), "run", "--method", "ridge", "--degree", "3"])
+    assert rc == 0
+    assert "ridge: n_params=4 " in capsys.readouterr().out
+
+
 def test_cli_run_flags_win_over_config_file(tmp_path, capsys):
-    sizes = "method = lagrange\nn_samples = 5\ndegree = 4\n"
+    samples = "method = lagrange\nn_samples = 5\n"
+    sizes = samples + "degree = 4\n"  # lagrange reads no degree, ridge does
     runs = [
-        (sizes, [], "lagrange: n_params=5 "),  # the file sets what no flag does
-        (sizes, ["--n-samples", "21"], "lagrange: n_params=21 "),
+        (samples, [], "lagrange: n_params=5 "),  # the file sets what no flag does
+        (samples, ["--n-samples", "21"], "lagrange: n_params=21 "),
         (sizes, ["--method", "ridge"], "ridge: n_params=5 "),
         (sizes, ["--method", "ridge", "--degree", "6"], "ridge: n_params=7 "),
         ("method = ridge\nalpha = bogus\n", ["--param", "alpha=0.5"], "ridge: n_params=11 "),

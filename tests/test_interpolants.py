@@ -178,6 +178,34 @@ def test_ridge_shrinks_endpoint_blowup():
     assert np.max(np.abs(shrunk.evaluate(GRID))) < np.max(np.abs(raw.evaluate(GRID)))
 
 
+@pytest.mark.parametrize("n, degree", [(5, 4), (11, 10), (21, 20), (41, 12)])
+def test_ridge_is_tikhonov_with_scaled_identity(n, degree):
+    # (1/2N)||Ac - y||^2 + (alpha/2)||c||^2 is ||Ac - y||^2 + ||sqrt(N alpha) c||^2 over 2N
+    s = RUNGE.sample(equispaced(n))
+    for a in (1e-4, 0.01, 1.0):
+        ridge = fit_regularized(s, degree, "ridge", alpha=a)
+        assert np.array_equal(ridge.coeffs, tikhonov_fit(s, degree, lam=np.sqrt(len(s) * a)).coeffs)
+
+
+def test_non_finite_parameters_are_rejected():
+    s = RUNGE.sample(equispaced(11))
+    fits = [
+        lambda: fit_regularized(s, 10, PenaltyKind.RIDGE, alpha=np.nan),
+        lambda: fit_regularized(s, 10, PenaltyKind.LASSO, alpha=np.nan),
+        # an infinite penalty would turn the stacked rows into inf * 0 = nan
+        lambda: fit_regularized(s, 10, PenaltyKind.RIDGE, alpha=np.inf),
+        lambda: tikhonov_fit(s, 10, lam=np.nan),
+        lambda: tikhonov_fit(s, 10, lam=np.inf),
+        lambda: EfciConfig(epsilon=np.nan),
+        lambda: EfciConfig(weight=np.nan),
+        lambda: EfciConfig(weight=np.inf),
+        lambda: TisiConfig(epsilon=np.nan),
+    ]
+    for fit in fits:
+        with pytest.raises(ValueError, match="must be"):
+            fit()
+
+
 @given(
     coeffs=st.lists(st.floats(-1, 1, allow_nan=False), min_size=1, max_size=11),
 )

@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import cyclic_cd_elastic_net, grid_search_elastic_net, mpmath_condition_number
-from runge_lab.core import RUNGE, Basis
+from runge_lab.core import RUNGE, Basis, SampleSet
+from runge_lab.interpolants import PenaltyKind, fit_regularized
 from runge_lab.linalg import (
     NumericError,
     design_matrix,
     elastic_net_cd,
     elastic_net_objective,
     lstsq,
-    ridge_closed_form,
     solve_tridiagonal,
     svd,
     truncated_pinv_solve,
@@ -302,27 +302,34 @@ def test_cd_skips_polish_on_numerically_singular_support():
             assert res.objectives[-1] <= f_cyclic + 1e-12 * elastic_net_objective(A, y, np.zeros(3), alpha, 1.0)
 
 
+def _ridge(nodes, y, alpha, degree):
+    """Ridge coefficients of the samples y at the nodes: fit_regularized solves
+    it as least squares with the rows sqrt(N*alpha)*I stacked under A."""
+    return fit_regularized(SampleSet(nodes, np.asarray(y)), degree, "ridge", alpha=alpha).coeffs
+
+
 def test_ridge_alpha_zero_matches_lstsq():
     A = design_matrix(equispaced(11), 4, Basis.MONOMIAL)
     y = rng.normal(size=11)
-    assert np.allclose(ridge_closed_form(A, y, 0.0), lstsq(A, y), atol=1e-9)
+    assert np.allclose(_ridge(equispaced(11), y, 0.0, 4), lstsq(A, y), atol=1e-9)
 
 
 def test_ridge_large_alpha_shrinks_to_zero():
-    A = design_matrix(equispaced(11), 4, Basis.MONOMIAL)
     y = rng.normal(size=11)
-    c = ridge_closed_form(A, y, 1e12)
+    c = _ridge(equispaced(11), y, 1e12, 4)
     assert np.linalg.norm(c) < 1e-6
 
 
 def test_ridge_norm_non_increasing_in_alpha():
-    A = design_matrix(equispaced(11), 6, Basis.MONOMIAL)
     y = rng.normal(size=11)
-    norms = [np.linalg.norm(ridge_closed_form(A, y, a)) for a in (0.0, 0.01, 0.1, 1.0, 10.0)]
+    norms = [np.linalg.norm(_ridge(equispaced(11), y, a, 6)) for a in (0.0, 0.01, 0.1, 1.0, 10.0)]
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
 
-def test_ridge_rank_deficient_alpha_zero_errors():
-    A = np.array([[1.0, 1.0], [2.0, 2.0]])
-    with pytest.raises(NumericError):
-        ridge_closed_form(A, [1.0, 2.0], 0.0)
+@pytest.mark.parametrize("n, degree", [(11, 4), (11, 10), (3, 8)], ids=["tall", "square", "rank-deficient"])
+def test_ridge_alpha_zero_is_the_unregularized_fit(n, degree):
+    # 3 samples and 9 monomials: A^T A is singular, and the fit is still the
+    # unregularized least-squares one, bit for bit
+    s = RUNGE.sample(equispaced(n))
+    ridge = fit_regularized(s, degree, PenaltyKind.RIDGE, alpha=0.0)
+    assert np.array_equal(ridge.coeffs, fit_regularized(s, degree, PenaltyKind.NONE).coeffs)
