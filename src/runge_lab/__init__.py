@@ -14,7 +14,6 @@ from .core import (
     RUNGE,
     SampleSet,
     TargetFunction,
-    evaluate,
     polynomial_target,
     runge,
 )
@@ -24,7 +23,6 @@ from .interpolants import (
     PenaltyKind,
     TikhonovOperator,
     TisiConfig,
-    chebyshev_interpolate,
     constrained_mock_chebyshev_lstsq,
     cubic_spline,
     efci_fit,
@@ -38,7 +36,6 @@ from .interpolants import (
 from .linalg import NumericError
 from .metrics import ErrorReport, chebyshev_bound, convergence_study, error_report
 from .nodes import (
-    SubsetSelection,
     chebyshev_lobatto,
     chebyshev_roots,
     equispaced,

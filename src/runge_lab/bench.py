@@ -73,7 +73,7 @@ NODE_FAMILIES = {
     "equispaced": lambda n, iv: nodes.equispaced(n, iv),
     "chebyshev_roots": lambda n, iv: nodes.chebyshev_roots(n - 1, iv),
     "chebyshev_lobatto": lambda n, iv: nodes.chebyshev_lobatto(n - 1, iv),
-    "every_other": lambda n, iv: nodes.every_other_subset(nodes.equispaced(n, iv)).node_set(),
+    "every_other": lambda n, iv: nodes.every_other_subset(nodes.equispaced(n, iv)),
 }
 
 
@@ -114,6 +114,11 @@ def _coerce_params(info: MethodInfo, raw: dict) -> dict:
             raise UsageError(f"parameter {key!r} for method {info.name!r} must be {typ.__name__}")
         if typ is float and not np.isfinite(out[key]):
             raise UsageError(f"parameter {key!r} for method {info.name!r} must be finite, got {value}")
+        # a value given other than as a string must be exact: no rounding, and a bool only for a bool
+        if not isinstance(value, str) and (out[key] != value or (typ is bool) != isinstance(value, bool)):
+            raise UsageError(
+                f"parameter {key!r} for method {info.name!r} must be {typ.__name__}, got {value!r}"
+            )
     return out
 
 
@@ -267,7 +272,7 @@ FIGURES: dict[int, FigureSpec] = {
         (("grid points", "least squares", "nodes"),),
     ),
     7: FigureSpec((FitSpec("tisi", "tisi"),)),
-    8: FigureSpec((FitSpec("tisi improved", "tisi", {"center": "lagrange_cheb"}),)),  # TisiConfig.improved()
+    8: FigureSpec((FitSpec("tisi improved", "tisi", {"center": "lagrange_cheb"}),)),
     9: FigureSpec(
         (
             FitSpec("equispaced", "lagrange", n_samples=21),

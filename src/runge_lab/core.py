@@ -312,8 +312,3 @@ class Piecewise(Approximant):
     @property
     def n_params(self) -> int:
         return sum(p.n_params for p in self.pieces)
-
-
-def evaluate(approx: Approximant, xs) -> np.ndarray:
-    """Evaluate any approximant at the given abscissae."""
-    return approx.evaluate(np.asarray(xs, dtype=float))

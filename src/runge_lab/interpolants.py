@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,11 +38,6 @@ from .nodes import chebyshev_roots, equispaced, mock_chebyshev_subset
 def lagrange_interpolate(samples: SampleSet) -> Barycentric:
     """Barycentric Lagrange interpolant through every sample."""
     return Barycentric.fit(samples)
-
-
-def chebyshev_interpolate(f: TargetFunction, n: int, interval: Interval = Interval()) -> Barycentric:
-    """Interpolate f at the n+1 roots of T_{n+1} on the interval (n >= 1)."""
-    return Barycentric.fit(f.sample(chebyshev_roots(n, interval)))
 
 
 def cubic_spline(samples: SampleSet) -> Piecewise:
@@ -246,12 +241,11 @@ def mock_chebyshev_interpolate(full: SampleSet, m: int = 10) -> Barycentric:
     """Interpolate on the subset of the full grid nearest the Lobatto targets."""
     if len(full) < 2:
         raise ValueError("need at least two samples")
-    sel = mock_chebyshev_subset(full.nodes, m)
-    idx = list(sel.indices)
+    idx = list(mock_chebyshev_subset(full.nodes, m))
     if len(idx) < 2:
         raise ValueError("mock-Chebyshev subset collapsed below two nodes")
-    subset = SampleSet(sel.node_set(), full.ys[idx])
-    return Barycentric.fit(subset)
+    subset = NodeSet(full.interval, full.xs[idx], NodeFamily.MOCK_CHEBYSHEV_SUBSET)
+    return Barycentric.fit(SampleSet(subset, full.ys[idx]))
 
 
 def constrained_mock_chebyshev_lstsq(
@@ -265,8 +259,7 @@ def constrained_mock_chebyshev_lstsq(
 
     ls_degree defaults to |subset| + (|full| - |subset|) // 2.
     """
-    sel = mock_chebyshev_subset(full.nodes, m)
-    idx = list(sel.indices)
+    idx = list(mock_chebyshev_subset(full.nodes, m))
     k = len(idx)
     if ls_degree is None:
         ls_degree = k + (len(full) - k) // 2
@@ -302,25 +295,22 @@ class BandStrategy(enum.Enum):
 
 @dataclass(frozen=True)
 class TisiConfig:
-    """``left``, ``center`` and ``right`` are the strategies of the three bands."""
+    """``left``, ``center`` and ``right`` are the strategies of the three bands,
+    given as members or their values; center=LAGRANGE_CHEB is the improved TISI."""
 
     epsilon: float = 0.2
-    left: BandStrategy = BandStrategy.LAGRANGE_EQUISPACED
-    center: BandStrategy = BandStrategy.LAGRANGE_EQUISPACED
-    right: BandStrategy = BandStrategy.LAGRANGE_EQUISPACED
+    left: BandStrategy | str = BandStrategy.LAGRANGE_EQUISPACED
+    center: BandStrategy | str = BandStrategy.LAGRANGE_EQUISPACED
+    right: BandStrategy | str = BandStrategy.LAGRANGE_EQUISPACED
     nodes_per_interval: int = 11
 
     def __post_init__(self):
+        for band in ("left", "center", "right"):
+            object.__setattr__(self, band, BandStrategy(getattr(self, band)))
         if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
         if self.nodes_per_interval < 2:
             raise ValueError("nodes_per_interval must be >= 2")
-
-    @classmethod
-    def improved(cls, **fields) -> "TisiConfig":
-        """End bands on equispaced Lagrange, Chebyshev clustering in the center;
-        ``fields`` sets epsilon and nodes_per_interval."""
-        return cls(center=BandStrategy.LAGRANGE_CHEB, **fields)
 
 
 def _band_nodes(band: Interval, strategy: BandStrategy, n: int) -> NodeSet:

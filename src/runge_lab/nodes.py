@@ -2,38 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Interval, NodeFamily, NodeSet
-
-
-@dataclass(frozen=True)
-class SubsetSelection:
-    """Indices into a source grid picked to track a list of target abscissae."""
-
-    source: NodeSet
-    indices: tuple[int, ...]
-    targets: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.targets, dtype=float)
-        t.setflags(write=False)
-        object.__setattr__(self, "targets", t)
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        idx = np.asarray(self.indices)
-        if len(idx) and (np.any(np.diff(idx) <= 0) or idx[0] < 0 or idx[-1] >= len(self.source)):
-            raise ValueError("indices must be strictly increasing valid source indices")
-        if len(idx) > len(self.targets):
-            raise ValueError("more indices than targets")
-
-    @property
-    def xs(self) -> np.ndarray:
-        return self.source.xs[list(self.indices)]
-
-    def node_set(self) -> NodeSet:
-        return NodeSet(self.source.interval, self.xs, NodeFamily.MOCK_CHEBYSHEV_SUBSET)
 
 
 def equispaced(n: int, interval: Interval = Interval()) -> NodeSet:
@@ -63,8 +34,9 @@ def chebyshev_lobatto(n: int, interval: Interval = Interval()) -> NodeSet:
     return NodeSet(interval, mapped, NodeFamily.CHEBYSHEV_LOBATTO)
 
 
-def mock_chebyshev_subset(source: NodeSet, m: int) -> SubsetSelection:
-    """Pick the source node nearest each of the m+1 Chebyshev-Lobatto targets.
+def mock_chebyshev_subset(source: NodeSet, m: int) -> tuple[int, ...]:
+    """Increasing indices of the source nodes nearest each of the m+1
+    Chebyshev-Lobatto targets.
 
     Ties break toward the smaller abscissa; duplicate picks collapse, so the
     result may be shorter than the target list on coarse grids.
@@ -75,13 +47,11 @@ def mock_chebyshev_subset(source: NodeSet, m: int) -> SubsetSelection:
         raise ValueError("need m >= 1 targets")
     targets = chebyshev_lobatto(m, source.interval).xs
     picked = [int(np.argmin(np.abs(source.xs - t))) for t in targets]  # argmin ties -> first = smaller x
-    indices = sorted(set(picked))
-    return SubsetSelection(source=source, indices=tuple(indices), targets=targets)
+    return tuple(sorted(set(picked)))
 
 
-def every_other_subset(source: NodeSet) -> SubsetSelection:
+def every_other_subset(source: NodeSet) -> NodeSet:
     """Every second grid point starting from the left endpoint."""
     if len(source) < 3:
         raise ValueError("source grid needs at least three nodes")
-    indices = tuple(range(0, len(source), 2))
-    return SubsetSelection(source=source, indices=indices, targets=source.xs[list(indices)])
+    return NodeSet(source.interval, source.xs[::2], NodeFamily.CUSTOM)

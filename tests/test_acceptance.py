@@ -21,10 +21,10 @@ from oracle_utils import (
 from runge_lab import bench
 from runge_lab.core import Basis, Interval, RUNGE, SampleSet, polynomial_target
 from runge_lab.interpolants import (
+    BandStrategy,
     EfciConfig,
     PenaltyKind,
     TisiConfig,
-    chebyshev_interpolate,
     constrained_mock_chebyshev_lstsq,
     cubic_spline,
     efci_fit,
@@ -43,7 +43,7 @@ from runge_lab.linalg import (
     truncated_pinv_solve,
 )
 from runge_lab.metrics import error_report
-from runge_lab.nodes import chebyshev_lobatto, equispaced, mock_chebyshev_subset
+from runge_lab.nodes import chebyshev_lobatto, chebyshev_roots, equispaced, mock_chebyshev_subset
 
 GRID = np.linspace(-1, 1, 1001)
 
@@ -91,11 +91,9 @@ def test_criterion_1_runge_divergence():
 
 def test_criterion_2_chebyshev_mitigation():
     with _Timer() as t:
-        cheb = {n: _max_err(chebyshev_interpolate(RUNGE, n - 1)) for n in (5, 10, 15, 20)}
+        cheb = {n: _max_err(lagrange_interpolate(RUNGE.sample(chebyshev_roots(n - 1)))) for n in (5, 10, 15, 20)}
         eq20 = _max_err(lagrange_interpolate(RUNGE.sample(equispaced(20))))
         # oracle cross-check of the n=20 Chebyshev error
-        from runge_lab.nodes import chebyshev_roots
-
         xs = chebyshev_roots(19).xs
         vals = barycentric_oracle(xs, runge_ld(xs), GRID)
         oracle20 = float(np.max(np.abs(vals - runge_ld(GRID))))
@@ -234,7 +232,7 @@ def test_criterion_7_mock_chebyshev():
         src = equispaced(20)
         sel = mock_chebyshev_subset(src, 10)
         oracle_idx = brute_force_nearest_subset(src.xs, chebyshev_lobatto(10).xs)
-        idx_ok = list(sel.indices) == oracle_idx
+        idx_ok = list(sel) == oracle_idx
         full = RUNGE.sample(src)
         e_mock = _max_err(mock_chebyshev_interpolate(full, 10))
         e_full = _max_err(lagrange_interpolate(full))
@@ -243,7 +241,7 @@ def test_criterion_7_mock_chebyshev():
         7,
         "mock-chebyshev subset",
         idx_ok and beat and t.elapsed < 1.0,
-        f"indices={list(sel.indices)}, ratio={e_full / e_mock:.1f}, runtime={t.elapsed:.2f}s",
+        f"indices={list(sel)}, ratio={e_full / e_mock:.1f}, runtime={t.elapsed:.2f}s",
     )
 
 
@@ -256,8 +254,7 @@ def test_criterion_8_constrained_mock_chebyshev():
             target = polynomial_target(coeffs)
             full = target.sample(equispaced(20))
             fit = constrained_mock_chebyshev_lstsq(full, 10, ls_degree=12)
-            sel = mock_chebyshev_subset(full.nodes, 10)
-            idx = list(sel.indices)
+            idx = list(mock_chebyshev_subset(full.nodes, 10))
             resid = np.max(np.abs(fit.evaluate(full.xs[idx]) - full.ys[idx]))
             mock = mock_chebyshev_interpolate(full, 10)
             ssq_fit = np.sum((fit.evaluate(full.xs) - full.ys) ** 2)
@@ -298,7 +295,9 @@ def test_criterion_9_svd_truncation():
 
 def test_criterion_10_tisi():
     with _Timer() as t:
-        approx = tisi_fit(RUNGE, Interval(), TisiConfig.improved(epsilon=0.2, nodes_per_interval=11))
+        approx = tisi_fit(
+            RUNGE, Interval(), TisiConfig(center=BandStrategy.LAGRANGE_CHEB, epsilon=0.2, nodes_per_interval=11)
+        )
         cont_ok = True
         for i in (1, 2):
             b = approx.breakpoints[i]

@@ -58,13 +58,42 @@ def test_run_experiment_rejects_unknown_method_and_params():
         run_experiment(FitSpec("svd", "svd", {"threshold": "abc"}))
 
 
+
+@pytest.mark.parametrize(
+    "method,params",
+    [
+        ("tisi", {"nodes_per_interval": 11.9}),
+        ("efci", {"m": True}),
+        ("efci", {"search": 2}),
+        ("ridge", {"alpha": True}),
+    ],
+)
+def test_coerce_params_refuses_a_value_its_type_would_change(method, params):
+    with pytest.raises(UsageError, match=next(iter(params))):
+        bench._coerce_params(bench.METHODS[method], params)
+
+
+@pytest.mark.parametrize(
+    "method,params,want",
+    [
+        ("ridge", {"alpha": 1}, {"alpha": 1.0}),
+        ("efci", {"m": 6, "search": True}, {"m": 6, "search": True}),
+        ("tisi", {"nodes_per_interval": "11", "epsilon": "0.3"}, {"nodes_per_interval": 11, "epsilon": 0.3}),
+        ("efci", {"search": "1", "m": "4"}, {"search": True, "m": 4}),
+    ],
+)
+def test_coerce_params_keeps_exact_values_and_strings(method, params, want):
+    got = bench._coerce_params(bench.METHODS[method], params)
+    assert got == want and [type(v) for v in got.values()] == [type(want[k]) for k in got]
+
+
 _S11 = RUNGE.sample(equispaced(11))
 
 # Each registered method's library function on the samples a default FitSpec
 # draws (11 equispaced samples, degree 10), with only its required arguments.
 LIBRARY_CALLS = {
     "lagrange": lambda: interpolants.lagrange_interpolate(_S11),
-    "chebyshev": lambda: interpolants.chebyshev_interpolate(RUNGE, 10),
+    "chebyshev": lambda: interpolants.lagrange_interpolate(RUNGE.sample(chebyshev_roots(10))),
     "spline": lambda: interpolants.cubic_spline(_S11),
     "unregularized": lambda: interpolants.fit_regularized(_S11, 10),
     "ridge": lambda: interpolants.fit_regularized(_S11, 10, "ridge"),
@@ -134,7 +163,7 @@ def test_fit_is_shift_and_scale_invariant(method, params, shift, width):
 
 
 def test_figure_8_is_improved_tisi():
-    improved = interpolants.TisiConfig.improved()
+    improved = interpolants.TisiConfig(center=interpolants.BandStrategy.LAGRANGE_CHEB)
     [spec] = bench.FIGURES[8].fits
     assert interpolants.TisiConfig(**bench._coerce_params(bench.METHODS["tisi"], spec.params)) == improved
     curve = run_figure(8).curves[1]

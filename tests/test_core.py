@@ -13,7 +13,6 @@ from runge_lab.core import (
     Piecewise,
     SampleSet,
     barycentric_weights,
-    evaluate,
     runge,
 )
 from runge_lab.nodes import chebyshev_lobatto
@@ -62,12 +61,12 @@ def test_sampleset_validation():
 
 def test_constant_basis_poly():
     p = BasisPoly(Basis.MONOMIAL, [1.0])
-    assert np.all(evaluate(p, [-1.0, 0.3, 1.0]) == 1.0)
+    assert np.all(p.evaluate([-1.0, 0.3, 1.0]) == 1.0)
 
 
 def test_chebyshev_t1_at_half():
     p = BasisPoly(Basis.CHEBYSHEV_T, [0.0, 1.0])
-    assert evaluate(p, [0.5])[0] == pytest.approx(0.5, abs=1e-15)
+    assert p.evaluate([0.5])[0] == pytest.approx(0.5, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 3, 7, 12, 20])
@@ -78,18 +77,18 @@ def test_chebyshev_extrema_values(n):
     p = BasisPoly(Basis.CHEBYSHEV_T, coeffs)
     for k in range(n + 1):
         x = np.cos(k * np.pi / n)
-        assert evaluate(p, [x])[0] == pytest.approx((-1.0) ** k, abs=1e-12)
+        assert p.evaluate([x])[0] == pytest.approx((-1.0) ** k, abs=1e-12)
 
 
 def test_legendre_at_one():
     p = BasisPoly(Basis.LEGENDRE, [0.0, 0.0, 0.0, 1.0])
-    assert evaluate(p, [1.0])[0] == pytest.approx(1.0, abs=1e-14)
+    assert p.evaluate([1.0])[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_barycentric_node_hit_exact():
     ns = NodeSet(Interval(), [-1.0, 0.0, 1.0])
     b = Barycentric.fit(SampleSet(ns, [0.3, -2.0, 7.5]))
-    out = evaluate(b, [0.0])
+    out = b.evaluate([0.0])
     assert out[0] == -2.0  # bit-exact node hit
 
 
@@ -100,7 +99,7 @@ def test_barycentric_node_hit_exact():
 def test_barycentric_reproduces_all_ordinates_bit_exactly(ys):
     xs = np.linspace(-1, 1, len(ys))
     b = Barycentric.fit(SampleSet(NodeSet(Interval(), xs), ys))
-    out = evaluate(b, xs)
+    out = b.evaluate(xs)
     assert np.array_equal(out, np.asarray(ys, dtype=float))
 
 
@@ -115,13 +114,13 @@ def test_barycentric_blocks_keep_node_hits_and_match_scipy():
     hit_at = [5, block + 7, 3 * block + 1]  # node abscissae in three different blocks
     hit_nodes = [3, 500, 998]
     grid[hit_at] = xs[hit_nodes]
-    out = evaluate(b, grid)
+    out = b.evaluate(grid)
     assert np.array_equal(out[hit_at], b.ys[hit_nodes])
     rest = np.setdiff1d(np.arange(len(grid)), hit_at)
     want = BarycentricInterpolator(xs, b.ys)(grid[rest])
     assert np.max(np.abs(out[rest] - want)) <= 1e-9
-    assert np.array_equal(evaluate(b, grid.reshape(4, block)), out.reshape(4, block))
-    empty = evaluate(b, np.array([]))
+    assert np.array_equal(b.evaluate(grid.reshape(4, block)), out.reshape(4, block))
+    empty = b.evaluate(np.array([]))
     assert empty.shape == (0,)
 
 
@@ -137,10 +136,10 @@ def test_piecewise_dispatch_and_domain_error():
     left = BasisPoly(Basis.MONOMIAL, [0.0, 1.0])   # x
     right = BasisPoly(Basis.MONOMIAL, [1.0])       # 1
     pw = Piecewise(np.array([-1.0, 0.0, 1.0]), (left, right))
-    out = evaluate(pw, [-0.5, 0.0, 1.0])
+    out = pw.evaluate([-0.5, 0.0, 1.0])
     assert out == pytest.approx([-0.5, 1.0, 1.0])  # 0.0 belongs to the right piece
     with pytest.raises(ValueError):
-        evaluate(pw, [1.5])
+        pw.evaluate([1.5])
 
     # Shuffled points in every piece, on every breakpoint and at the right
     # endpoint, against a point-by-point dispatch. The pieces differ on either
@@ -157,8 +156,8 @@ def test_piecewise_dispatch_and_domain_error():
         return pieces[i].evaluate(np.array([x]))[0]
 
     want = [pointwise(x) for x in xs]
-    assert np.array_equal(evaluate(pw, xs), want)
-    assert np.array_equal(evaluate(pw, xs.reshape(3, -1)), np.reshape(want, (3, -1)))
+    assert np.array_equal(pw.evaluate(xs), want)
+    assert np.array_equal(pw.evaluate(xs.reshape(3, -1)), np.reshape(want, (3, -1)))
 
 
 def test_piecewise_validation():

@@ -21,7 +21,6 @@ from runge_lab.interpolants import (
     EfciConfig,
     PenaltyKind,
     TisiConfig,
-    chebyshev_interpolate,
     constrained_mock_chebyshev_lstsq,
     cubic_spline,
     efci_fit,
@@ -72,22 +71,22 @@ def test_lagrange_reproduces_t5_on_its_roots():
 def test_chebyshev_interpolate_constant():
     one = TargetFunction("one", lambda x: np.ones_like(x))
     for n in (1, 4, 9):
-        assert _max_err(chebyshev_interpolate(one, n), one) < 1e-13
+        assert _max_err(lagrange_interpolate(one.sample(chebyshev_roots(n))), one) < 1e-13
 
 
 def test_chebyshev_interpolate_needs_two_roots():
     with pytest.raises(ValueError, match="at least two"):
-        chebyshev_interpolate(RUNGE, 0)
+        lagrange_interpolate(RUNGE.sample(chebyshev_roots(0)))
 
 
 def test_chebyshev_interpolate_cubic_exact():
     cubic = polynomial_target([0.0, 0.0, 0.0, 1.0])
-    assert _max_err(chebyshev_interpolate(cubic, 3), cubic) < 1e-12
+    assert _max_err(lagrange_interpolate(cubic.sample(chebyshev_roots(3))), cubic) < 1e-12
 
 
 def test_chebyshev_beats_equispaced_100x_at_n20():
     eq = lagrange_interpolate(RUNGE.sample(equispaced(21)))
-    ch = chebyshev_interpolate(RUNGE, 20)
+    ch = lagrange_interpolate(RUNGE.sample(chebyshev_roots(20)))
     assert _max_err(eq, RUNGE) > 100 * _max_err(ch, RUNGE)
 
 
@@ -346,8 +345,7 @@ def test_constrained_mock_residuals_and_optimality():
     fit = constrained_mock_chebyshev_lstsq(full, 10, ls_degree=13)
     from runge_lab.nodes import mock_chebyshev_subset
 
-    sel = mock_chebyshev_subset(full.nodes, 10)
-    idx = list(sel.indices)
+    idx = list(mock_chebyshev_subset(full.nodes, 10))
     assert np.max(np.abs(fit.evaluate(full.xs[idx]) - full.ys[idx])) < 1e-9
     mock = mock_chebyshev_interpolate(full, 10)
     ssq_fit = np.sum((fit.evaluate(full.xs) - full.ys) ** 2)
@@ -372,7 +370,7 @@ def test_tisi_linear_exact():
 
 
 def test_tisi_continuity_at_breakpoints():
-    approx = tisi_fit(RUNGE, Interval(), TisiConfig.improved())
+    approx = tisi_fit(RUNGE, Interval(), TisiConfig(center=BandStrategy.LAGRANGE_CHEB))
     for b in approx.breakpoints[1:-1]:
         i = list(approx.breakpoints).index(b)
         left = approx.pieces[i - 1].evaluate(np.array([b]))[0]
@@ -381,7 +379,9 @@ def test_tisi_continuity_at_breakpoints():
 
 
 def test_tisi_improved_beats_global_equispaced():
-    approx = tisi_fit(RUNGE, Interval(), TisiConfig.improved(epsilon=0.2, nodes_per_interval=11))
+    approx = tisi_fit(
+        RUNGE, Interval(), TisiConfig(center=BandStrategy.LAGRANGE_CHEB, epsilon=0.2, nodes_per_interval=11)
+    )
     glob = lagrange_interpolate(RUNGE.sample(equispaced(33)))
     assert _max_err(approx, RUNGE) < _max_err(glob, RUNGE)
 
@@ -390,6 +390,18 @@ def test_tisi_spline_band():
     cfg = TisiConfig(center=BandStrategy.SPLINE_LOCAL)
     approx = tisi_fit(RUNGE, Interval(), cfg)
     assert np.isfinite(_max_err(approx, RUNGE))
+
+
+def test_tisi_config_takes_band_strategy_values():
+    by_value = TisiConfig(left="spline_local", center="lagrange_cheb", right="lagrange_equispaced")
+    by_member = TisiConfig(
+        left=BandStrategy.SPLINE_LOCAL, center=BandStrategy.LAGRANGE_CHEB, right=BandStrategy.LAGRANGE_EQUISPACED
+    )
+    assert by_value == by_member
+    got = tisi_fit(RUNGE, Interval(), by_value).evaluate(GRID)
+    assert np.array_equal(got, tisi_fit(RUNGE, Interval(), by_member).evaluate(GRID))
+    with pytest.raises(ValueError):
+        TisiConfig(center="bogus")
 
 
 def test_tisi_config_validation():

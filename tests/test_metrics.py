@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from runge_lab.core import Basis, BasisPoly, Interval, RUNGE, TargetFunction
-from runge_lab.interpolants import chebyshev_interpolate, cubic_spline, lagrange_interpolate
+from runge_lab.interpolants import cubic_spline, lagrange_interpolate
 from runge_lab.metrics import chebyshev_bound, convergence_study, error_report
-from runge_lab.nodes import equispaced
+from runge_lab.nodes import chebyshev_roots, equispaced
 
 
 def test_error_report_zero_for_identical():
@@ -39,7 +39,7 @@ def test_error_report_invariants():
 def test_error_report_grid_refinement_stable():
     for approx in (
         lagrange_interpolate(RUNGE.sample(equispaced(11))),
-        chebyshev_interpolate(RUNGE, 10),
+        lagrange_interpolate(RUNGE.sample(chebyshev_roots(10))),
         cubic_spline(RUNGE.sample(equispaced(11))),
     ):
         a = error_report(approx, RUNGE, grid_size=1001).max_abs
@@ -61,7 +61,7 @@ def test_chebyshev_bound_monotone_in_n(M, n):
 def test_chebyshev_bound_validates_sine():
     # all derivatives of sin are bounded by 1
     sine = TargetFunction("sin", np.sin)
-    approx = chebyshev_interpolate(sine, 5)
+    approx = lagrange_interpolate(sine.sample(chebyshev_roots(5)))
     r = error_report(approx, sine)
     assert r.max_abs <= chebyshev_bound(5, 1.0)
 
@@ -74,7 +74,7 @@ def test_convergence_study_equispaced_diverges():
 
 
 def test_convergence_study_chebyshev_converges():
-    handle = lambda f, n: chebyshev_interpolate(f, n - 1)
+    handle = lambda f, n: lagrange_interpolate(f.sample(chebyshev_roots(n - 1)))
     entries = convergence_study(handle, RUNGE, [5, 10, 15, 20])
     errs = [e.report.max_abs for e in entries]
     assert all(b < a for a, b in zip(errs, errs[1:]))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import brute_force_nearest_subset
-from runge_lab.core import Interval
+from runge_lab.core import Interval, NodeFamily
 from runge_lab.nodes import (
     chebyshev_lobatto,
     chebyshev_roots,
@@ -66,9 +66,9 @@ def test_chebyshev_roots_symmetric(n):
 
 def test_mock_subset_examples():
     sel = mock_chebyshev_subset(equispaced(5), 2)
-    assert sel.indices == (0, 2, 4)
+    assert sel == (0, 2, 4)
     sel = mock_chebyshev_subset(equispaced(2), 4)
-    assert sel.indices == (0, 1)
+    assert sel == (0, 1)
 
 
 def test_mock_subset_20_grid_matches_oracle():
@@ -76,9 +76,9 @@ def test_mock_subset_20_grid_matches_oracle():
     sel = mock_chebyshev_subset(src, 10)
     targets = chebyshev_lobatto(10).xs
     expect = brute_force_nearest_subset(src.xs, targets)
-    assert list(sel.indices) == expect
+    assert list(sel) == expect
     # clustering: index gaps shrink toward the ends
-    gaps = np.diff(sel.indices)
+    gaps = np.diff(sel)
     assert gaps[0] <= gaps[len(gaps) // 2] and gaps[-1] <= gaps[len(gaps) // 2]
 
 
@@ -88,12 +88,13 @@ def test_mock_subset_oracle_equivalence(n, m):
     src = equispaced(n)
     sel = mock_chebyshev_subset(src, m)
     expect = brute_force_nearest_subset(src.xs, chebyshev_lobatto(m).xs)
-    assert list(sel.indices) == expect
+    assert list(sel) == expect
 
 
 def test_every_other_subset():
-    assert every_other_subset(equispaced(5)).indices == (0, 2, 4)
-    assert every_other_subset(equispaced(4)).indices == (0, 2)
-    assert len(every_other_subset(equispaced(21)).indices) == 11
+    assert np.array_equal(every_other_subset(equispaced(5)).xs, equispaced(5).xs[[0, 2, 4]])
+    assert np.array_equal(every_other_subset(equispaced(4)).xs, equispaced(4).xs[[0, 2]])
+    assert len(every_other_subset(equispaced(21))) == 11
+    assert every_other_subset(equispaced(5)).family is NodeFamily.CUSTOM  # not a mock-Chebyshev subset
     with pytest.raises(ValueError):
         every_other_subset(equispaced(2))
