@@ -97,11 +97,12 @@ def _coerce_params(info: MethodInfo, raw: dict) -> dict:
         typ = info.params[key]
         if isinstance(typ, tuple):
             choices = {member.value: member for member in typ}
-            if str(value) not in choices:
+            member = value if value in typ else choices.get(str(value))
+            if member is None:
                 raise UsageError(
                     f"parameter {key!r} for method {info.name!r} must be one of {list(choices)}"
                 )
-            out[key] = choices[str(value)]
+            out[key] = member
             continue
         try:
             if typ is bool and isinstance(value, str):

@@ -81,6 +81,9 @@ def _frozen_array(values) -> np.ndarray:
 class NodeSet:
     """Ordered abscissae on an interval, tagged with the generating family.
 
+    ``Barycentric.fit`` takes the closed-form weights of a Chebyshev family
+    from the tag, so a set of other abscissae must not carry that tag.
+
     A single node is permitted so degenerate generators (a single Chebyshev
     root) stay representable; interpolation routines impose their own minimum
     counts.
@@ -193,7 +196,12 @@ class BasisPoly(Approximant):
 
 def barycentric_weights(xs: np.ndarray) -> np.ndarray:
     """Classic product-form barycentric weights, capacity-rescaled so the
-    products stay in range for a few dozen nodes."""
+    products stay in range for a few dozen nodes.
+
+    O(n^2), and the products leave the float range for large n. It is the
+    fallback of :meth:`Barycentric.fit` for node sets without a closed form:
+    equispaced, custom and mock-Chebyshev subset nodes.
+    """
     xs = np.asarray(xs, dtype=float)
     n = len(xs)
     if n < 2:
@@ -202,6 +210,20 @@ def barycentric_weights(xs: np.ndarray) -> np.ndarray:
     diffs = (xs[:, None] - xs[None, :]) / cap
     np.fill_diagonal(diffs, 1.0)
     return 1.0 / np.prod(diffs, axis=1)
+
+
+def _alternating(w: np.ndarray) -> np.ndarray:
+    w[1::2] *= -1.0
+    return w
+
+
+# Closed-form barycentric weights of the n nodes of a Chebyshev family in
+# increasing order, up to a common factor (Salzer 1972; Berrut & Trefethen
+# 2004, SIAM Rev. 46(3)): O(n), never zero, and the same on every interval.
+_CLOSED_FORM_WEIGHTS = {
+    NodeFamily.CHEBYSHEV_ROOTS: lambda n: _alternating(np.sin((2 * np.arange(n) + 1) * np.pi / (2 * n))),
+    NodeFamily.CHEBYSHEV_LOBATTO: lambda n: _alternating(np.concatenate([[0.5], np.ones(n - 2), [0.5]])),
+}
 
 
 # Evaluation points x nodes elements per block of Barycentric.evaluate: big
@@ -217,8 +239,17 @@ class Barycentric(Approximant):
     ordinate, which sidesteps the 0/0 case without a fuzzy epsilon.
 
     Cost model: evaluating m points is O(m n) arithmetic, done in blocks of
-    ``max(1, _EVAL_BLOCK // n)`` points, so temporary memory is O(block n)
-    rather than O(m n). Each point's value depends only on that point.
+    ``max(1, _EVAL_BLOCK // n)`` points. The node hits are found once for all
+    m points, by one ``searchsorted`` on the increasing abscissae, and every
+    block reuses one (block x n) buffer, written and divided in place, so
+    temporary memory is O(block n) rather than O(m n) and no block allocates.
+    The arithmetic is kept on purpose: ``w / (x - x_j)`` per pair, then
+    ``(terms @ ys) / terms.sum(axis=1)``. Folding the denominator into the
+    matrix product (one GEMM against ``[ys, 1]``) was no faster, and it moves
+    results by a rounding, which shows in figure reports that sit at
+    round-off. Each point's value is computed from that point alone, but the
+    BLAS matrix-vector product may round it differently, in the last bits,
+    with the number of points in its block.
     """
 
     nodes: NodeSet
@@ -235,9 +266,13 @@ class Barycentric(Approximant):
 
     @classmethod
     def fit(cls, samples: SampleSet) -> "Barycentric":
+        """Interpolant through the samples, with the closed-form weights of
+        the node family where it has one, else the product form."""
         if len(samples) < 2:
             raise ValueError("need at least two samples to interpolate")
-        return cls(samples.nodes, samples.ys, barycentric_weights(samples.xs))
+        closed_form = _CLOSED_FORM_WEIGHTS.get(samples.nodes.family)
+        weights = closed_form(len(samples)) if closed_form else barycentric_weights(samples.xs)
+        return cls(samples.nodes, samples.ys, weights)
 
     @property
     def interval(self) -> Interval:
@@ -246,16 +281,21 @@ class Barycentric(Approximant):
     def evaluate(self, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         flat = xs.ravel()
+        nodes, m, n = self.nodes.xs, len(flat), len(self.nodes)
+        col = np.minimum(np.searchsorted(nodes, flat), n - 1)
+        hit_at = np.flatnonzero(nodes[col] == flat)
+        hit_col = col[hit_at]
         out = np.empty_like(flat)
-        block = max(1, _EVAL_BLOCK // len(self.nodes))
-        for start in range(0, len(flat), block):
-            diff = flat[start : start + block, None] - self.nodes.xs[None, :]
-            hit_rows, hit_cols = np.nonzero(diff == 0.0)
-            diff[hit_rows, hit_cols] = 1.0  # dummy, overwritten below
-            terms = self.weights[None, :] / diff
-            part = (terms @ self.ys) / terms.sum(axis=1)
-            part[hit_rows] = self.ys[hit_cols]
-            out[start : start + block] = part
+        block = max(1, _EVAL_BLOCK // n)
+        buf = np.empty((min(block, m), n))
+        for start in range(0, m, block):
+            terms = buf[: min(block, m - start)]
+            np.subtract(flat[start : start + block, None], nodes, out=terms)
+            lo, hi = np.searchsorted(hit_at, (start, start + block))
+            terms[hit_at[lo:hi] - start, hit_col[lo:hi]] = 1.0  # dummy, overwritten below
+            np.divide(self.weights, terms, out=terms)
+            out[start : start + block] = (terms @ self.ys) / terms.sum(axis=1)
+        out[hit_at] = self.ys[hit_col]
         return out.reshape(xs.shape)
 
     @property

@@ -19,7 +19,7 @@ from oracle_utils import (
     runge_ld,
 )
 from runge_lab import bench
-from runge_lab.core import Basis, Interval, RUNGE, SampleSet, polynomial_target
+from runge_lab.core import Basis, Interval, RUNGE, polynomial_target
 from runge_lab.interpolants import (
     BandStrategy,
     EfciConfig,
@@ -31,7 +31,6 @@ from runge_lab.interpolants import (
     fit_regularized,
     lagrange_interpolate,
     mock_chebyshev_interpolate,
-    svd_truncated_fit,
     tikhonov_fit,
     tisi_fit,
 )
@@ -42,7 +41,6 @@ from runge_lab.linalg import (
     svd,
     truncated_pinv_solve,
 )
-from runge_lab.metrics import error_report
 from runge_lab.nodes import chebyshev_lobatto, chebyshev_roots, equispaced, mock_chebyshev_subset
 
 GRID = np.linspace(-1, 1, 1001)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from runge_lab import (
     RUNGE,
+    Basis,
     ErrorReport,
     Interval,
     TargetFunction,
@@ -85,6 +86,29 @@ def test_coerce_params_refuses_a_value_its_type_would_change(method, params):
 def test_coerce_params_keeps_exact_values_and_strings(method, params, want):
     got = bench._coerce_params(bench.METHODS[method], params)
     assert got == want and [type(v) for v in got.values()] == [type(want[k]) for k in got]
+
+
+@pytest.mark.parametrize(
+    "method,key,member",
+    [
+        ("tisi", "center", interpolants.BandStrategy.LAGRANGE_CHEB),
+        ("tikhonov", "operator", interpolants.TikhonovOperator.SECOND_DIFFERENCE),
+        ("svd", "basis", Basis.MONOMIAL),
+    ],
+)
+def test_coerce_params_takes_an_enum_member_as_itself(method, key, member):
+    assert bench._coerce_params(bench.METHODS[method], {key: member}) == {key: member}
+    by_member = run_experiment(FitSpec(method, method, {key: member}), grid_size=101)
+    by_value = run_experiment(FitSpec(method, method, {key: member.value}), grid_size=101)
+    assert np.array_equal(by_member.curves[1].ys, by_value.curves[1].ys)
+
+
+def test_coerce_params_refuses_a_member_outside_the_choices():
+    # svd takes the monomial and Legendre bases only; a member of another enum is no choice either
+    with pytest.raises(UsageError, match="basis"):
+        bench._coerce_params(bench.METHODS["svd"], {"basis": Basis.CHEBYSHEV_T})
+    with pytest.raises(UsageError, match="center"):
+        bench._coerce_params(bench.METHODS["tisi"], {"center": Basis.MONOMIAL})
 
 
 _S11 = RUNGE.sample(equispaced(11))

@@ -12,10 +12,13 @@ from runge_lab.core import (
     NodeSet,
     Piecewise,
     SampleSet,
+    RUNGE,
     barycentric_weights,
     runge,
 )
-from runge_lab.nodes import chebyshev_lobatto
+from runge_lab.interpolants import BandStrategy, TisiConfig, mock_chebyshev_interpolate, tisi_fit
+from runge_lab.metrics import error_report
+from runge_lab.nodes import chebyshev_lobatto, chebyshev_roots, equispaced
 
 
 def test_runge_values():
@@ -122,6 +125,94 @@ def test_barycentric_blocks_keep_node_hits_and_match_scipy():
     assert np.array_equal(b.evaluate(grid.reshape(4, block)), out.reshape(4, block))
     empty = b.evaluate(np.array([]))
     assert empty.shape == (0,)
+
+
+def _seed_evaluate(b, xs):
+    """The seed's barycentric arithmetic, written out: the full (block x n)
+    w / (x - x_j), exact node hits found by equality, then
+    (terms @ ys) / terms.sum(1). The points are split at the evaluator's block
+    bounds, as the seed split them, because BLAS's matrix-vector product may
+    round a row differently with the number of rows in the call."""
+    flat = np.atleast_1d(np.asarray(xs, dtype=float)).ravel()
+    block = max(1, core._EVAL_BLOCK // len(b.nodes))
+    parts = [np.empty(0)]
+    for start in range(0, len(flat), block):
+        diff = flat[start : start + block, None] - b.nodes.xs[None, :]
+        rows, cols = np.nonzero(diff == 0.0)
+        diff[rows, cols] = 1.0
+        terms = b.weights[None, :] / diff
+        part = (terms @ b.ys) / terms.sum(1)
+        part[rows] = b.ys[cols]
+        parts.append(part)
+    return np.concatenate(parts).reshape(np.shape(xs))
+
+
+def _jittered_lobatto(n):
+    xs = chebyshev_lobatto(n - 1).xs.copy()
+    gaps = np.diff(xs)
+    room = 0.3 * np.minimum(gaps[:-1], gaps[1:])
+    xs[1:-1] += np.random.default_rng(5).uniform(-1.0, 1.0, n - 2) * room
+    return NodeSet(Interval(), xs)
+
+
+_EVAL_NODE_SETS = {
+    "equispaced": lambda: equispaced(41),
+    "custom": lambda: _jittered_lobatto(300),
+    "tisi_band": lambda: tisi_fit(RUNGE, Interval(), TisiConfig(center=BandStrategy.LAGRANGE_CHEB)).pieces[1].nodes,
+    "chebyshev_roots": lambda: chebyshev_roots(200, Interval(2.0, 5.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EVAL_NODE_SETS))
+def test_barycentric_evaluate_keeps_the_seed_arithmetic(name):
+    ns = _EVAL_NODE_SETS[name]()
+    b = Barycentric.fit(RUNGE.sample(ns))
+    block = max(1, core._EVAL_BLOCK // len(ns))
+    grid = np.linspace(ns.interval.lo, ns.interval.hi, 3 * block + 17)  # four blocks, the last one short
+    hit_at = [block - 1, block + 3, 2 * block + 5, 3 * block + 2]  # a node in each block
+    hit_nodes = [1, len(ns) // 3, len(ns) // 2, len(ns) - 2]
+    grid[hit_at] = ns.xs[hit_nodes]
+    with np.errstate(all="raise"):  # a node hit must not divide by zero, even in a row it overwrites
+        out = b.evaluate(grid)
+    assert np.array_equal(out, _seed_evaluate(b, grid))
+    assert np.array_equal(out[hit_at], b.ys[hit_nodes])
+    square = grid[: 3 * block].reshape(3, block)
+    assert np.array_equal(b.evaluate(square), _seed_evaluate(b, square))
+    for empty in (np.array([]), np.empty((0, 3))):
+        assert b.evaluate(empty).shape == empty.shape
+
+
+@pytest.mark.parametrize("interval", [Interval(), Interval(2.0, 5.0)], ids=["unit", "shifted"])
+@pytest.mark.parametrize("family", [chebyshev_roots, chebyshev_lobatto])
+def test_closed_form_weights_interpolate_at_n3000(family, interval):
+    from scipy.interpolate import BarycentricInterpolator
+
+    ns = family(2999, interval)
+    b = Barycentric.fit(RUNGE.sample(ns))
+    assert error_report(b, RUNGE, interval, grid_size=1001).max_abs <= 1e-12
+    xs = np.linspace(interval.lo, interval.hi, 1001)
+    assert np.max(np.abs(b.evaluate(xs) - BarycentricInterpolator(ns.xs, b.ys)(xs))) <= 1e-9
+
+
+@pytest.mark.parametrize("interval", [Interval(), Interval(2.0, 5.0)], ids=["unit", "shifted"])
+@pytest.mark.parametrize("family", [chebyshev_roots, chebyshev_lobatto])
+def test_closed_form_weights_match_the_product_form(family, interval):
+    for n in range(2, 22):
+        ns = family(n - 1, interval)
+        closed, product = Barycentric.fit(RUNGE.sample(ns)).weights, barycentric_weights(ns.xs)
+        np.testing.assert_allclose(closed / closed[0], product / product[0], rtol=1e-13, atol=0)
+
+
+def test_other_node_sets_keep_the_product_weights():
+    full = RUNGE.sample(equispaced(101))
+    fits = [
+        Barycentric.fit(full),
+        Barycentric.fit(RUNGE.sample(_jittered_lobatto(50))),
+        mock_chebyshev_interpolate(full),
+        Barycentric.fit(RUNGE.sample(NodeSet(Interval(), chebyshev_roots(20).xs))),  # Chebyshev roots tagged CUSTOM
+    ]
+    for b in fits:
+        assert np.array_equal(b.weights, barycentric_weights(b.nodes.xs))
 
 
 def test_barycentric_weight_invariants():

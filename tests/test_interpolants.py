@@ -7,11 +7,9 @@ from numpy.polynomial import polynomial as P
 from oracle_utils import barycentric_oracle, runge_ld
 from runge_lab.core import (
     Basis,
-    BasisPoly,
     Interval,
     NodeSet,
     RUNGE,
-    SampleSet,
     TargetFunction,
     polynomial_target,
     runge,

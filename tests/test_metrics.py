@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from runge_lab.core import Basis, BasisPoly, Interval, RUNGE, TargetFunction
+from runge_lab.core import Basis, BasisPoly, RUNGE, TargetFunction
 from runge_lab.interpolants import cubic_spline, lagrange_interpolate
 from runge_lab.metrics import chebyshev_bound, convergence_study, error_report
 from runge_lab.nodes import chebyshev_roots, equispaced
