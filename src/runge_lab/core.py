@@ -7,8 +7,10 @@ never mutates.
 from __future__ import annotations
 
 import enum
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -194,22 +196,39 @@ class BasisPoly(Approximant):
         return len(self.coeffs)
 
 
+# Elements per block of Barycentric.evaluate (points x nodes) and of
+# barycentric_weights (rows x nodes): big enough that paper-size calls are one
+# block, small enough to stay in cache.
+_EVAL_BLOCK = 1 << 18
+
+
 def barycentric_weights(xs: np.ndarray) -> np.ndarray:
     """Classic product-form barycentric weights, capacity-rescaled so the
     products stay in range for a few dozen nodes.
 
-    O(n^2), and the products leave the float range for large n. It is the
-    fallback of :meth:`Barycentric.fit` for node sets without a closed form:
-    equispaced, custom and mock-Chebyshev subset nodes.
+    O(n^2) arithmetic, done in blocks of ``max(1, _EVAL_BLOCK // n)`` rows that
+    reuse one buffer, so temporary memory is O(_EVAL_BLOCK) rather than O(n^2);
+    each row's product is taken in the same order as over the whole matrix.
+    The products leave the float range for large n. It is the fallback of
+    :meth:`Barycentric.fit` for node sets without a closed form: equispaced,
+    custom and mock-Chebyshev subset nodes.
     """
     xs = np.asarray(xs, dtype=float)
     n = len(xs)
     if n < 2:
         raise ValueError("barycentric weights need at least two nodes")
     cap = (xs[-1] - xs[0]) / 4.0
-    diffs = (xs[:, None] - xs[None, :]) / cap
-    np.fill_diagonal(diffs, 1.0)
-    return 1.0 / np.prod(diffs, axis=1)
+    w = np.empty(n)
+    block = max(1, _EVAL_BLOCK // n)
+    buf = np.empty((min(block, n), n))
+    for start in range(0, n, block):
+        diffs = buf[: min(block, n - start)]
+        np.subtract(xs[start : start + block, None], xs, out=diffs)
+        np.divide(diffs, cap, out=diffs)
+        rows = np.arange(len(diffs))
+        diffs[rows, start + rows] = 1.0
+        np.divide(1.0, np.prod(diffs, axis=1), out=w[start : start + block])
+    return w
 
 
 def _alternating(w: np.ndarray) -> np.ndarray:
@@ -224,11 +243,6 @@ _CLOSED_FORM_WEIGHTS = {
     NodeFamily.CHEBYSHEV_ROOTS: lambda n: _alternating(np.sin((2 * np.arange(n) + 1) * np.pi / (2 * n))),
     NodeFamily.CHEBYSHEV_LOBATTO: lambda n: _alternating(np.concatenate([[0.5], np.ones(n - 2), [0.5]])),
 }
-
-
-# Evaluation points x nodes elements per block of Barycentric.evaluate: big
-# enough that paper-size calls are one block, small enough to stay in cache.
-_EVAL_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -304,26 +318,50 @@ class Barycentric(Approximant):
 
 
 @dataclass(frozen=True)
+class MonomialTable(Sequence):
+    """Pieces stored as one table: row i holds the monomial coefficients, in
+    the unit coordinate of ``interval``, of piece i. As a sequence it reads as
+    ``BasisPoly`` views of its rows, built on access; its length comes from
+    the table's shape, so counting the pieces builds none."""
+
+    coeffs: np.ndarray
+    interval: Interval
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", _frozen_array(self.coeffs))
+        if self.coeffs.ndim != 2:
+            raise ValueError("coefficient table must be 2-D")
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    def __getitem__(self, i) -> BasisPoly:
+        return BasisPoly(Basis.MONOMIAL, self.coeffs[operator.index(i)], self.interval)
+
+
+@dataclass(frozen=True)
 class Piecewise(Approximant):
     """Piecewise approximant dispatching on subinterval: left-closed/right-open
     pieces, the last piece closed on both ends.
 
-    Cost model: evaluating m points locates them with one ``searchsorted``,
-    sorts them by piece once, and calls each piece that received points once
-    on its contiguous slice, so the work is O(m log m) plus one call per piece
-    hit, not one pass over the points per piece. The natural cubic spline
-    stays a ``Piecewise`` of monomial pieces rather than a kind of its own:
-    its knots are the breakpoints, each gap's coefficients stay readable as
-    ``pieces[i]``, and a point on a knot goes to the piece on its right by the
-    same rule as every other piecewise approximant.
+    Cost model: evaluating m points locates them with one ``searchsorted``.
+    Pieces given as a :class:`MonomialTable` (the natural cubic spline) are
+    then evaluated by one Horner pass over all m points with each point's row
+    of the table gathered, so the work is O(m log k) for k pieces, with no
+    call per piece. It does, point by point, the float operations of that
+    row's ``BasisPoly.evaluate``, so the result is the same bit for bit. Any
+    other pieces (TISI's bands) are called once each: the points are sorted
+    by piece once and each piece that received points evaluates its
+    contiguous slice, so the work is O(m log m) plus one call per piece hit.
     """
 
     breakpoints: np.ndarray
-    pieces: tuple[Approximant, ...]
+    pieces: tuple[Approximant, ...] | MonomialTable
 
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", _frozen_array(self.breakpoints))
-        object.__setattr__(self, "pieces", tuple(self.pieces))
+        if not isinstance(self.pieces, MonomialTable):
+            object.__setattr__(self, "pieces", tuple(self.pieces))
         if np.any(np.diff(self.breakpoints) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         if len(self.pieces) != len(self.breakpoints) - 1:
@@ -341,6 +379,10 @@ class Piecewise(Approximant):
         flat = xs.ravel()
         idx = np.searchsorted(self.breakpoints, flat, side="right") - 1
         idx = np.clip(idx, 0, len(self.pieces) - 1)
+        if isinstance(self.pieces, MonomialTable):
+            t = self.pieces.interval.to_unit(flat)
+            rows = np.take(self.pieces.coeffs.T, idx, axis=1)  # contiguous (4, m): row j holds t^j's coefficients
+            return _poly.polyval(t, rows, tensor=False).reshape(xs.shape)
         order = np.argsort(idx, kind="stable")
         bounds = np.searchsorted(idx[order], np.arange(len(self.pieces) + 1)).tolist()
         out = np.empty_like(flat)
@@ -351,4 +393,6 @@ class Piecewise(Approximant):
 
     @property
     def n_params(self) -> int:
+        if isinstance(self.pieces, MonomialTable):
+            return self.pieces.coeffs.size
         return sum(p.n_params for p in self.pieces)

@@ -119,16 +119,16 @@ def truncated_pinv_solve(A: np.ndarray, y: np.ndarray, threshold: float) -> tupl
 
 
 def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Thomas algorithm for a tridiagonal system."""
-    sub = np.asarray(sub, dtype=float)
-    diag = np.asarray(diag, dtype=float)
-    sup = np.asarray(sup, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
+    """Thomas algorithm for a tridiagonal system. Both recurrences run on
+    Python floats, which round exactly as float64 scalars do, without the
+    cost of indexing numpy scalars."""
+    sub, diag, sup, rhs = (np.asarray(v, dtype=float) for v in (sub, diag, sup, rhs))
     n = len(diag)
     if len(rhs) != n or len(sub) != n - 1 or len(sup) != n - 1:
         raise ValueError("band lengths inconsistent with system size")
-    c = np.zeros(n - 1) if n > 1 else np.zeros(0)
-    d = np.zeros(n)
+    sub, diag, sup, rhs = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
+    c = [0.0] * (n - 1)
+    d = [0.0] * n
     piv = diag[0]
     if piv == 0.0:
         raise NumericError("zero pivot in tridiagonal solve at row 0")
@@ -145,7 +145,7 @@ def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: n
     x = d
     for i in range(n - 2, -1, -1):
         x[i] -= c[i] * x[i + 1]
-    return x
+    return np.array(x)
 
 
 # coordinate descent stops once a full sweep moves no coordinate by CD_TOL, or after CD_MAX_ITER sweeps

@@ -215,6 +215,25 @@ def test_other_node_sets_keep_the_product_weights():
         assert np.array_equal(b.weights, barycentric_weights(b.nodes.xs))
 
 
+def _one_shot_product_weights(xs):
+    """The product-form weights over the whole n x n difference matrix at once."""
+    cap = (xs[-1] - xs[0]) / 4.0
+    diffs = (xs[:, None] - xs[None, :]) / cap
+    np.fill_diagonal(diffs, 1.0)
+    return 1.0 / np.prod(diffs, axis=1)
+
+
+@pytest.mark.parametrize("n", [11, 201, 1000, 3000])
+def test_barycentric_weights_in_row_blocks_keep_the_one_shot_products(n):
+    rng = np.random.default_rng(n)
+    for xs in (np.linspace(-1.0, 1.0, n), np.sort(rng.uniform(-1.0, 1.0, n))):
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            assert np.array_equal(barycentric_weights(xs), _one_shot_product_weights(xs), equal_nan=True)
+    if n == 3000:  # the known defect: equispaced weights leave the float range
+        with pytest.raises(ValueError, match="must be nonzero"), np.errstate(all="ignore"):
+            Barycentric.fit(RUNGE.sample(equispaced(n)))
+
+
 def test_barycentric_weight_invariants():
     xs = np.linspace(-1, 1, 21)
     w = barycentric_weights(xs)
@@ -249,6 +268,31 @@ def test_piecewise_dispatch_and_domain_error():
     want = [pointwise(x) for x in xs]
     assert np.array_equal(pw.evaluate(xs), want)
     assert np.array_equal(pw.evaluate(xs.reshape(3, -1)), np.reshape(want, (3, -1)))
+
+
+def test_piecewise_with_a_nested_table_spline_keeps_the_grouped_dispatch():
+    # TISI with spline bands around a barycentric one: the outer pieces are
+    # mixed, so they go through the grouped path, and each spline band
+    # evaluates its own coefficient table.
+    cfg = TisiConfig(left=BandStrategy.SPLINE_LOCAL, center=BandStrategy.LAGRANGE_CHEB, right=BandStrategy.SPLINE_LOCAL)
+    pw = tisi_fit(RUNGE, Interval(), cfg)
+    assert isinstance(pw.pieces, tuple) and isinstance(pw.pieces[0].pieces, core.MonomialTable)
+    assert pw.n_params == 2 * 4 * (cfg.nodes_per_interval - 1) + cfg.nodes_per_interval
+    breaks = pw.breakpoints
+    knots = np.concatenate([pw.pieces[0].breakpoints, pw.pieces[2].breakpoints])
+    xs = np.concatenate([np.linspace(-1.0, 1.0, 401), breaks, knots, [1.0]])
+    np.random.default_rng(4).shuffle(xs)
+    # point-by-point choice of band; each band then evaluates its points in
+    # their given order, as the grouped path does
+    band = np.array([min(int(np.flatnonzero(breaks <= x)[-1]), 2) for x in xs])
+    want = np.empty_like(xs)
+    for i in range(3):
+        want[band == i] = pw.pieces[i].evaluate(xs[band == i])
+    assert np.array_equal(pw.evaluate(xs), want)
+    # a table spline gives each point the same value alone as in a batch
+    spline_at = np.flatnonzero(band != 1)
+    alone = [pw.pieces[band[k]].evaluate(xs[k : k + 1])[0] for k in spline_at]
+    assert np.array_equal(want[spline_at], alone)
 
 
 def test_piecewise_validation():

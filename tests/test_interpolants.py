@@ -7,6 +7,7 @@ from numpy.polynomial import polynomial as P
 from oracle_utils import barycentric_oracle, runge_ld
 from runge_lab.core import (
     Basis,
+    BasisPoly,
     Interval,
     NodeSet,
     RUNGE,
@@ -131,6 +132,55 @@ def test_spline_matches_scipy_on_many_jittered_knots():
         want = CubicSpline(xk, f(xk), bc_type="natural")
         xs = np.concatenate([np.linspace(centre - 1, centre + 1, 2001), xk, 0.5 * (xk[:-1] + xk[1:])])
         assert np.max(np.abs(s.evaluate(xs) - want(xs))) <= 1e-9
+
+
+def _per_piece(s, xs):
+    """Each point evaluated by its own piece's ``BasisPoly.evaluate``, the
+    piece picked by the left-closed rule with the last piece closed."""
+    flat = np.ravel(xs)
+    piece = np.minimum(np.searchsorted(s.breakpoints, flat, side="right") - 1, len(s.pieces) - 1)
+    out = np.empty_like(flat)
+    for i in set(piece.tolist()):
+        at = np.flatnonzero(piece == i)
+        out[at] = s.pieces[i].evaluate(flat[at])
+    return out.reshape(np.shape(xs))
+
+
+def _jittered_knots(n, interval):
+    xs = np.linspace(interval.lo, interval.hi, n + 2)[1:-1]  # knots inside the interval, not on its ends
+    gaps = np.diff(xs)
+    xs[1:-1] += np.random.default_rng(13).uniform(-0.3, 0.3, n - 2) * np.minimum(gaps[:-1], gaps[1:])
+    return NodeSet(interval, xs)
+
+
+@pytest.mark.parametrize(
+    "make_nodes",
+    [lambda: equispaced(5000), lambda: _jittered_knots(997, Interval(-3.0, 2.0))],
+    ids=["equispaced5000", "jittered997"],
+)
+def test_spline_table_evaluation_is_bit_identical_to_its_pieces(make_nodes):
+    s = cubic_spline(RUNGE.sample(make_nodes()))
+    knots = s.breakpoints
+    xs = np.concatenate([np.linspace(knots[0], knots[-1], 20_001), knots, [knots[0], knots[-1]]])
+    np.random.default_rng(17).shuffle(xs)
+    want = _per_piece(s, xs)
+    assert np.array_equal(s.evaluate(xs), want)
+    assert np.array_equal(s.evaluate(xs[:20_000].reshape(100, 200)), want[:20_000].reshape(100, 200))
+    for empty in (np.array([]), np.empty((0, 3))):
+        assert s.evaluate(empty).shape == empty.shape
+
+
+def test_spline_table_builds_no_piece_to_count_or_evaluate(monkeypatch):
+    s = cubic_spline(RUNGE.sample(equispaced(201)))
+    assert s.pieces[0].coeffs.shape == (4,) and np.array_equal(s.pieces[-1].coeffs, s.pieces[199].coeffs)
+
+    def refuse(*args):
+        raise AssertionError("a piece was built or evaluated")
+
+    monkeypatch.setattr(BasisPoly, "__post_init__", refuse)
+    monkeypatch.setattr(BasisPoly, "evaluate", refuse)
+    assert len(s.pieces) == 200 and s.n_params == 800
+    assert np.all(np.isfinite(s.evaluate(GRID)))
 
 
 def test_spline_needs_three_samples():

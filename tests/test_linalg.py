@@ -164,9 +164,41 @@ def test_tridiagonal_vs_dense_oracle():
     assert np.max(np.abs(T @ x - rhs)) <= 1e-10 * np.max(np.abs(rhs))
 
 
+def _numpy_scalar_thomas(sub, diag, sup, rhs):
+    """The Thomas recurrences on numpy float64 scalars, indexed one by one."""
+    n = len(diag)
+    c, d = np.zeros(n - 1), np.zeros(n)
+    d[0] = rhs[0] / diag[0]
+    if n > 1:
+        c[0] = sup[0] / diag[0]
+    for i in range(1, n):
+        piv = diag[i] - sub[i - 1] * c[i - 1]
+        if i < n - 1:
+            c[i] = sup[i] / piv
+        d[i] = (rhs[i] - sub[i - 1] * d[i - 1]) / piv
+    for i in range(n - 2, -1, -1):
+        d[i] -= c[i] * d[i + 1]
+    return d
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-6, 1e6))
+def test_tridiagonal_python_floats_match_numpy_scalars_bit_for_bit(n, seed, scale):
+    g = np.random.default_rng(seed)
+    sub, sup = g.normal(size=n - 1) * scale, g.normal(size=n - 1) * scale
+    off = np.abs(np.concatenate([[0.0], sub])) + np.abs(np.concatenate([sup, [0.0]]))
+    diag = (off + g.uniform(0.1, 2.0, n) * scale) * g.choice([-1.0, 1.0], n)  # diagonally dominant
+    rhs = g.normal(size=n) * scale
+    x = solve_tridiagonal(sub, diag, sup, rhs)
+    assert x.dtype == np.float64 and x.shape == (n,)
+    assert np.array_equal(x, _numpy_scalar_thomas(sub, diag, sup, rhs))
+
+
 def test_tridiagonal_zero_pivot():
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="row 0"):
         solve_tridiagonal([1.0], [0.0, 1.0], [1.0], [1.0, 1.0])
+    with pytest.raises(NumericError, match="row 1"):
+        solve_tridiagonal([1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0], [1.0, 1.0, 1.0])
 
 
 def test_cd_alpha_zero_matches_lstsq():
