@@ -294,6 +294,8 @@ class Barycentric(Approximant):
 
     def evaluate(self, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        if not np.isfinite(xs).all():
+            raise ValueError("evaluation points must be finite")
         flat = xs.ravel()
         nodes, m, n = self.nodes.xs, len(flat), len(self.nodes)
         col = np.minimum(np.searchsorted(nodes, flat), n - 1)
@@ -374,7 +376,7 @@ class Piecewise(Approximant):
     def evaluate(self, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         lo, hi = self.breakpoints[0], self.breakpoints[-1]
-        if np.any(xs < lo) or np.any(xs > hi):
+        if not np.all((xs >= lo) & (xs <= hi)):  # NaN fails both comparisons
             raise ValueError(f"evaluation point outside span [{lo}, {hi}]")
         flat = xs.ravel()
         idx = np.searchsorted(self.breakpoints, flat, side="right") - 1

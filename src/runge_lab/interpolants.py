@@ -92,8 +92,8 @@ def cubic_spline(samples: SampleSet) -> Piecewise:
 
 def _stacked_fit(samples: SampleSet, degree: int, rows: np.ndarray | None = None) -> BasisPoly:
     """Monomial fit minimizing ||A c - y||^2 + ||rows c||^2, A the design matrix of the unit
-    coordinate t, by one pivoted-QR solve of [A; rows] c = [y; 0]. A zero row adds nothing
-    and is dropped, so zero or no rows give exactly the plain least-squares fit."""
+    coordinate t, by one ``linalg.lstsq`` solve of [A; rows] c = [y; 0]. A zero row adds
+    nothing and is dropped, so zero or no rows give exactly the plain least-squares fit."""
     A = linalg.design_matrix(samples.nodes, degree, Basis.MONOMIAL)
     if rows is not None:
         A = np.vstack([A, rows[rows.any(axis=1)]])

@@ -16,7 +16,7 @@ from runge_lab.core import (
     barycentric_weights,
     runge,
 )
-from runge_lab.interpolants import BandStrategy, TisiConfig, mock_chebyshev_interpolate, tisi_fit
+from runge_lab.interpolants import BandStrategy, TisiConfig, cubic_spline, mock_chebyshev_interpolate, tisi_fit
 from runge_lab.metrics import error_report
 from runge_lab.nodes import chebyshev_lobatto, chebyshev_roots, equispaced
 
@@ -293,6 +293,22 @@ def test_piecewise_with_a_nested_table_spline_keeps_the_grouped_dispatch():
     spline_at = np.flatnonzero(band != 1)
     alone = [pw.pieces[band[k]].evaluate(xs[k : k + 1])[0] for k in spline_at]
     assert np.array_equal(want[spline_at], alone)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_are_refused(bad):
+    # NaN fails every comparison, so a span check written as "any point below
+    # or above" lets it through to the last piece; it must raise instead.
+    spline = cubic_spline(RUNGE.sample(equispaced(11)))
+    tisi = tisi_fit(RUNGE, Interval(), TisiConfig())
+    bary = Barycentric.fit(RUNGE.sample(equispaced(11)))
+    for approx in (spline, tisi, bary):
+        with pytest.raises(ValueError):
+            approx.evaluate([bad, 0.0])
+        with pytest.raises(ValueError):
+            approx.evaluate([bad])
+        for empty in (np.empty(0), np.empty((2, 0))):
+            assert approx.evaluate(empty).shape == empty.shape
 
 
 def test_piecewise_validation():

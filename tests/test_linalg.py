@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,11 @@ from hypothesis import strategies as st
 
 from oracle_utils import cyclic_cd_elastic_net, grid_search_elastic_net, mpmath_condition_number
 from runge_lab.core import RUNGE, Basis, SampleSet
+from runge_lab import linalg
 from runge_lab.interpolants import PenaltyKind, fit_regularized
 from runge_lab.linalg import (
     NumericError,
+    _pivoted_qr_lstsq,
     design_matrix,
     elastic_net_cd,
     elastic_net_objective,
@@ -78,6 +82,68 @@ def test_lstsq_rank_deficient_zero_fill():
     # one column carries the fit, its duplicate gets a zero coefficient
     assert np.isclose(min(abs(c)), 0.0)
     assert np.allclose(A @ c, [1, 2, 3], atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    extra_rows=st.integers(0, 30),
+    log_cond=st.floats(0.0, 8.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_full_rank_lstsq_matches_the_pivoted_qr(n, extra_rows, log_cond, seed):
+    # A = U diag(s) V^T with singular values spread over 10^log_cond; random y
+    # leaves a residual. Both solvers are backward stable, so each is within
+    # the least-squares perturbation bound of the true solution:
+    # eps * cond * (|c| + cond * |r| / sigma_max), up to a modest factor.
+    g = np.random.default_rng(seed)
+    m = n + extra_rows
+    U, _ = np.linalg.qr(g.normal(size=(m, n)))
+    V, _ = np.linalg.qr(g.normal(size=(n, n)))
+    s = np.logspace(0.0, -log_cond, n)
+    A = (U * s) @ V.T
+    y = g.normal(size=m)
+    want = _pivoted_qr_lstsq(A, y)
+    with mock.patch.object(linalg, "_pivoted_qr_lstsq", side_effect=AssertionError("took the pivoted path")):
+        got = lstsq(A, y)
+    cond = s[0] / s[-1]
+    r = np.linalg.norm(A @ want - y)
+    bound = 10 * m * np.finfo(float).eps * cond * (np.linalg.norm(want) + cond * r / s[0])
+    assert np.linalg.norm(got - want) <= bound
+
+
+def test_rank_deficient_tall_design_keeps_the_basic_solution():
+    # solvers' tall.lstsq: 201 equispaced samples, degree-100 monomials, cond ~ 3e17
+    samples = RUNGE.sample(equispaced(201))
+    A = design_matrix(samples.nodes, 100, Basis.MONOMIAL)
+    c = lstsq(A, samples.ys)
+    assert np.array_equal(c, _pivoted_qr_lstsq(A, samples.ys))
+    # the columns beyond the numerical rank get exact zeros, where LAPACK's
+    # minimum-norm solution would spread weight over every column
+    assert np.count_nonzero(c == 0.0) >= A.shape[1] - np.linalg.matrix_rank(A)
+    assert np.count_nonzero(np.linalg.lstsq(A, samples.ys)[0] == 0.0) == 0
+
+
+def test_wide_system_takes_the_pivoted_path():
+    samples = RUNGE.sample(equispaced(5))
+    A = design_matrix(samples.nodes, 10, Basis.MONOMIAL)
+    assert A.shape == (5, 11)
+    assert np.array_equal(lstsq(A, samples.ys), _pivoted_qr_lstsq(A, samples.ys))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["A", "y"])
+def test_non_finite_system_takes_the_pivoted_path(bad, where, capfd):
+    samples = RUNGE.sample(equispaced(11))
+    A = design_matrix(samples.nodes, 4, Basis.MONOMIAL)
+    y = samples.ys.copy()
+    if where == "A":
+        A[3, 2] = bad
+    else:
+        y[3] = bad
+    np.testing.assert_array_equal(lstsq(A, y), _pivoted_qr_lstsq(A, y))
+    assert capfd.readouterr() == ("", "")  # LAPACK prints a complaint about a NaN matrix
 
 
 def test_svd_diagonal():
