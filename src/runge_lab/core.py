@@ -7,7 +7,10 @@ never mutates.
 from __future__ import annotations
 
 import enum
+import functools
 import operator
+import os
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
@@ -198,20 +201,74 @@ class BasisPoly(Approximant):
 
 # Elements per block of Barycentric.evaluate (points x nodes) and of
 # barycentric_weights (rows x nodes): big enough that paper-size calls are one
-# block, small enough to stay in cache.
+# block, small enough to stay in cache. The block bounds fix the results, so
+# this is not a tuning knob: a new size moves large evaluations by a rounding.
 _EVAL_BLOCK = 1 << 18
+
+# Threads that run the blocks of one call: one per CPU this process may use.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@functools.cache
+def _pool():
+    from concurrent.futures import ThreadPoolExecutor  # ~7 ms, so not on the import path
+
+    return ThreadPoolExecutor(thread_name_prefix="runge_lab")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but none of its threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _run_blocks(task, starts: range) -> None:
+    """Run ``task(starts)``, which computes the blocks at the starts it is
+    given, on k = min(_WORKERS, len(starts)) worker threads.
+
+    With one worker the task runs inline in the caller, over every start.
+    Otherwise each of k pool threads (the pool is made on first use) runs the
+    task over an iterator that hands out the starts no worker has claimed
+    yet, one at a time, so a worker slowed by another thread on its CPU takes
+    fewer blocks instead of holding up the call. Each runs under the caller's
+    float-error settings (numpy keeps them per thread or per context, and
+    neither reaches a pool thread), and the first exception re-raises here
+    once every worker has ended. The tasks only call numpy ufuncs and BLAS,
+    which release the GIL, so the workers run in parallel.
+    """
+    k = min(_WORKERS, len(starts))
+    if k <= 1:
+        task(starts)
+        return
+    saved = {**np.geterr(), "call": np.geterrcall()}
+    unclaimed, lock = iter(starts), threading.Lock()
+
+    def claim():
+        with lock:
+            return next(unclaimed, None)
+
+    def work():
+        with np.errstate(**saved):
+            task(iter(claim, None))
+
+    futures = [_pool().submit(work) for _ in range(k)]
+    for f in futures:
+        f.exception()  # every worker ends before an exception reaches the caller
+    for f in futures:
+        f.result()
 
 
 def barycentric_weights(xs: np.ndarray) -> np.ndarray:
     """Classic product-form barycentric weights, capacity-rescaled so the
     products stay in range for a few dozen nodes.
 
-    O(n^2) arithmetic, done in blocks of ``max(1, _EVAL_BLOCK // n)`` rows that
-    reuse one buffer, so temporary memory is O(_EVAL_BLOCK) rather than O(n^2);
-    each row's product is taken in the same order as over the whole matrix.
-    The products leave the float range for large n. It is the fallback of
-    :meth:`Barycentric.fit` for node sets without a closed form: equispaced,
-    custom and mock-Chebyshev subset nodes.
+    O(n^2) arithmetic, done in blocks of ``max(1, _EVAL_BLOCK // n)`` rows,
+    which :func:`_run_blocks` spreads over the available CPUs. Each worker
+    reuses one (block x n) buffer, so temporary memory is
+    O(workers x _EVAL_BLOCK) rather than O(n^2). Each row's product is taken
+    in the same order as over the whole matrix, so the weights do not depend
+    on the block size or on the number of workers. The products leave the
+    float range for large n. It is the fallback of :meth:`Barycentric.fit`
+    for node sets without a closed form: equispaced, custom and
+    mock-Chebyshev subset nodes.
     """
     xs = np.asarray(xs, dtype=float)
     n = len(xs)
@@ -220,14 +277,18 @@ def barycentric_weights(xs: np.ndarray) -> np.ndarray:
     cap = (xs[-1] - xs[0]) / 4.0
     w = np.empty(n)
     block = max(1, _EVAL_BLOCK // n)
-    buf = np.empty((min(block, n), n))
-    for start in range(0, n, block):
-        diffs = buf[: min(block, n - start)]
-        np.subtract(xs[start : start + block, None], xs, out=diffs)
-        np.divide(diffs, cap, out=diffs)
-        rows = np.arange(len(diffs))
-        diffs[rows, start + rows] = 1.0
-        np.divide(1.0, np.prod(diffs, axis=1), out=w[start : start + block])
+
+    def fill(starts):
+        buf = np.empty((min(block, n), n))
+        for start in starts:
+            diffs = buf[: min(block, n - start)]
+            np.subtract(xs[start : start + block, None], xs, out=diffs)
+            np.divide(diffs, cap, out=diffs)
+            rows = np.arange(len(diffs))
+            diffs[rows, start + rows] = 1.0
+            np.divide(1.0, np.prod(diffs, axis=1), out=w[start : start + block])
+
+    _run_blocks(fill, range(0, n, block))
     return w
 
 
@@ -253,10 +314,12 @@ class Barycentric(Approximant):
     ordinate, which sidesteps the 0/0 case without a fuzzy epsilon.
 
     Cost model: evaluating m points is O(m n) arithmetic, done in blocks of
-    ``max(1, _EVAL_BLOCK // n)`` points. The node hits are found once for all
-    m points, by one ``searchsorted`` on the increasing abscissae, and every
-    block reuses one (block x n) buffer, written and divided in place, so
-    temporary memory is O(block n) rather than O(m n) and no block allocates.
+    ``max(1, _EVAL_BLOCK // n)`` points, which :func:`_run_blocks` spreads
+    over the available CPUs. The node hits are found once for all m points, by
+    one ``searchsorted`` on the increasing abscissae, and each worker reuses
+    one (block x n) buffer, written and divided in place, so temporary memory
+    is O(workers x block x n) rather than O(m n). The block bounds, not the
+    number of workers, fix every result bit for bit.
     The arithmetic is kept on purpose: ``w / (x - x_j)`` per pair, then
     ``(terms @ ys) / terms.sum(axis=1)``. Folding the denominator into the
     matrix product (one GEMM against ``[ys, 1]``) was no faster, and it moves
@@ -303,14 +366,18 @@ class Barycentric(Approximant):
         hit_col = col[hit_at]
         out = np.empty_like(flat)
         block = max(1, _EVAL_BLOCK // n)
-        buf = np.empty((min(block, m), n))
-        for start in range(0, m, block):
-            terms = buf[: min(block, m - start)]
-            np.subtract(flat[start : start + block, None], nodes, out=terms)
-            lo, hi = np.searchsorted(hit_at, (start, start + block))
-            terms[hit_at[lo:hi] - start, hit_col[lo:hi]] = 1.0  # dummy, overwritten below
-            np.divide(self.weights, terms, out=terms)
-            out[start : start + block] = (terms @ self.ys) / terms.sum(axis=1)
+
+        def fill(starts):
+            buf = np.empty((min(block, m), n))
+            for start in starts:
+                terms = buf[: min(block, m - start)]
+                np.subtract(flat[start : start + block, None], nodes, out=terms)
+                lo, hi = np.searchsorted(hit_at, (start, start + block))
+                terms[hit_at[lo:hi] - start, hit_col[lo:hi]] = 1.0  # dummy, overwritten below
+                np.divide(self.weights, terms, out=terms)
+                out[start : start + block] = (terms @ self.ys) / terms.sum(axis=1)
+
+        _run_blocks(fill, range(0, m, block))
         out[hit_at] = self.ys[hit_col]
         return out.reshape(xs.shape)
 

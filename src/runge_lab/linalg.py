@@ -2,11 +2,12 @@
 quadratic penalty stacked as extra rows), SVD with relative truncation, Thomas
 tridiagonal solve, coordinate descent for L1/elastic-net.
 
-Least squares takes one of two paths. A system whose singular values show it
-is full rank is solved by one LAPACK call. Any other (fewer rows than
-columns, rank in doubt, non-finite entries) goes to a Householder QR with
-column pivoting, written in Python, which drops the trailing pivot columns
-beyond its numerical rank and so returns the basic solution."""
+Least squares refuses a system with a non-finite entry, then takes one of two
+paths. A system whose singular values show it is full rank is solved by one
+LAPACK call. Any other (fewer rows than columns, rank in doubt) goes to a
+Householder QR with column pivoting, written in Python, which drops the
+trailing pivot columns beyond its numerical rank and so returns the basic
+solution."""
 
 from __future__ import annotations
 
@@ -32,8 +33,11 @@ def design_matrix(nodes: NodeSet, degree: int, basis: Basis = Basis.MONOMIAL) ->
 def lstsq(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares solution of A c = y, by one of two paths.
 
-    Full rank: a finite system with at least as many rows as columns is
-    first solved by LAPACK (``np.linalg.lstsq``, an SVD-based solve). With
+    A or y holding NaN or ±inf raises ``ValueError``: either path would
+    return all-NaN coefficients without a signal.
+
+    Full rank: a system with at least as many rows as columns is first
+    solved by LAPACK (``np.linalg.lstsq``, an SVD-based solve). With
     tol = max(m, n)·eps, its solution is returned when the singular values
     pass sigma_min > tol·sigma_max. That test also certifies full rank for
     the pivoted QR below, because pivoted QR has |r_11| <= sigma_max and
@@ -42,24 +46,25 @@ def lstsq(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     sec. 5.4-5.5).
 
     Rank in doubt: every other system (fewer rows than columns, a failed
-    sigma test, non-finite entries, or an SVD that does not converge) goes
-    to :func:`_pivoted_qr_lstsq`. There rank is decided on the diagonal of
+    sigma test, or an SVD that does not converge) goes to
+    :func:`_pivoted_qr_lstsq`. There rank is decided on the diagonal of
     R with the same tol, and the trailing pivot columns beyond it get zero
     coefficients: the basic solution, not the minimum-norm one LAPACK
     would give, so a rank-deficient fit keeps the coefficients it always had.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not (np.isfinite(A).all() and np.isfinite(y).all()):
+        raise ValueError("least-squares system must be finite")
     if A.ndim == 2 and y.shape == A.shape[:1] and 0 < A.shape[1] <= A.shape[0]:
-        if np.isfinite(A).all() and np.isfinite(y).all():
-            tol = max(A.shape) * np.finfo(float).eps
-            try:
-                c, _, _, s = np.linalg.lstsq(A, y, rcond=tol)
-            except np.linalg.LinAlgError:
-                pass  # the pivoted QR decides
-            else:
-                if s[-1] > tol * s[0]:
-                    return c
+        tol = max(A.shape) * np.finfo(float).eps
+        try:
+            c, _, _, s = np.linalg.lstsq(A, y, rcond=tol)
+        except np.linalg.LinAlgError:
+            pass  # the pivoted QR decides
+        else:
+            if s[-1] > tol * s[0]:
+                return c
     return _pivoted_qr_lstsq(A, y)
 
 

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +25,8 @@ from runge_lab.core import (
 from runge_lab.interpolants import BandStrategy, TisiConfig, cubic_spline, mock_chebyshev_interpolate, tisi_fit
 from runge_lab.metrics import error_report
 from runge_lab.nodes import chebyshev_lobatto, chebyshev_roots, equispaced
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_runge_values():
@@ -180,6 +188,73 @@ def test_barycentric_evaluate_keeps_the_seed_arithmetic(name):
     assert np.array_equal(b.evaluate(square), _seed_evaluate(b, square))
     for empty in (np.array([]), np.empty((0, 3))):
         assert b.evaluate(empty).shape == empty.shape
+
+
+def test_blocks_give_the_same_bits_on_any_number_of_workers(monkeypatch):
+    ns = _jittered_lobatto(300)
+    b = Barycentric.fit(RUNGE.sample(ns))
+    block = max(1, core._EVAL_BLOCK // len(ns))
+    grid = np.linspace(-1.0, 1.0, 3 * block + 17)  # four blocks, the last one short
+    grid[[block - 1, block + 3, 2 * block + 5, 3 * block + 2]] = ns.xs[[1, 100, 150, 298]]  # a node in each block
+    node_sets = (_jittered_lobatto(1000).xs, equispaced(3000).xs)  # 4 and 35 row blocks
+    weights = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(core, "_WORKERS", workers)
+        assert np.array_equal(b.evaluate(grid), _seed_evaluate(b, grid))
+        with np.errstate(all="ignore"):  # equispaced n = 3000 leaves the float range
+            weights[workers] = [barycentric_weights(xs).tobytes() for xs in node_sets]
+    assert weights[1] == weights[2] == weights[3]
+
+
+def test_workers_keep_the_callers_float_error_settings(monkeypatch):
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    b = Barycentric.fit(RUNGE.sample(equispaced(1000)))
+    grid = np.linspace(-1.0, 1.0, 1200)  # five blocks; the weighted sums overflow to inf / inf
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        b.evaluate(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a worker under numpy's default settings would warn
+        with np.errstate(all="ignore"):
+            b.evaluate(grid)
+
+
+def test_a_worker_exception_re_raises_in_the_caller(monkeypatch):
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    done = []
+
+    def task(starts):
+        for start in starts:
+            if start == 1:
+                raise KeyError("block 1")
+            done.append(start)
+
+    with pytest.raises(KeyError, match="block 1"):
+        core._run_blocks(task, range(4))
+    assert sorted(done) == [0, 2, 3]  # the other worker took every block left
+
+
+def test_importing_the_cli_leaves_the_worker_pool_unloaded():
+    code = "import sys, runge_lab.cli; sys.exit('concurrent.futures' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_gets_its_own_worker_pool():
+    code = """if True:
+        import os, signal
+        import numpy as np
+        from runge_lab import core, nodes
+        core._WORKERS = 2
+        b = core.Barycentric.fit(core.RUNGE.sample(nodes.chebyshev_lobatto(999)))
+        grid = np.linspace(-1.0, 1.0, 1200)
+        want = b.evaluate(grid)
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(30)  # the parent's pool has no threads here: a submit to it would wait for ever
+            os._exit(0 if np.array_equal(b.evaluate(grid), want) else 1)
+        os._exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    """
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)}, check=True, timeout=60)
 
 
 @pytest.mark.parametrize("interval", [Interval(), Interval(2.0, 5.0)], ids=["unit", "shifted"])
