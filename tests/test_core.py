@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -231,6 +232,64 @@ def test_a_worker_exception_re_raises_in_the_caller(monkeypatch):
     with pytest.raises(KeyError, match="block 1"):
         core._run_blocks(task, range(4))
     assert sorted(done) == [0, 2, 3]  # the other worker took every block left
+
+
+@pytest.mark.parametrize("n", [1, 5, 21, 201, 1000, 2000, 3000])  # numpy buffers the broadcast up to n ~ 2700
+def test_differences_match_the_broadcast_subtract(n):
+    rng = np.random.default_rng(n)
+    rows = max(1, core._EVAL_BLOCK // n)  # the evaluator's rows per block
+    a, b = rng.uniform(-1.0, 1.0, rows), np.sort(rng.uniform(-1.0, 1.0, n))
+    a[: min(rows, 4)] = [0.0, -0.0, 0.0, -0.0][: min(rows, 4)]  # signed zeros against signed zeros
+    b[0] = -0.0 if n % 2 else 0.0
+    out = np.empty((rows, n))
+    core._differences(a, b, out)
+    assert out.tobytes() == (a[:, None] - b).tobytes()  # bit for bit, so the sign of every zero too
+
+
+def test_differences_leave_the_callers_buffer_size(monkeypatch):
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    ns = _jittered_lobatto(1000)
+    b, xs = Barycentric.fit(RUNGE.sample(ns)), ns.xs
+    grid = np.linspace(-1.0, 1.0, 1200)  # five blocks
+    for size in (np.getbufsize(), 4096):
+        old = np.setbufsize(size)
+        try:
+            b.evaluate(grid)
+            assert np.getbufsize() == size
+            barycentric_weights(xs)
+            assert np.getbufsize() == size
+            with pytest.raises(ValueError):
+                core._differences(grid, xs, np.empty((3, 3)))  # an out of the wrong shape
+            assert np.getbufsize() == size
+        finally:
+            np.setbufsize(old)
+    pool = core._pool()
+    meet = threading.Barrier(len(pool._threads))
+
+    def bufsize():
+        meet.wait(timeout=10)  # holds each thread until all have a task, so every pool thread answers
+        return np.getbufsize()
+
+    sizes = [f.result() for f in [pool.submit(bufsize) for _ in range(len(pool._threads))]]
+    assert sizes == [8192] * len(sizes)  # numpy's default, in a pool thread that ran blocks
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 3000),
+    m=st.integers(1, 5000),
+    hits=st.integers(0, 20),
+)
+@settings(max_examples=30, deadline=None)
+def test_barycentric_evaluate_keeps_the_seed_arithmetic_at_any_size(seed, n, m, hits):
+    rng = np.random.default_rng(seed)
+    xs = np.unique(rng.uniform(-1.0, 1.0, n))
+    weights = rng.uniform(0.5, 2.0, len(xs)) * np.where(np.arange(len(xs)) % 2, -1.0, 1.0)
+    b = Barycentric(NodeSet(Interval(), xs), rng.standard_normal(len(xs)), weights)
+    grid = rng.uniform(-1.0, 1.0, m)
+    grid[rng.integers(0, m, hits)] = xs[rng.integers(0, len(xs), hits)]
+    with np.errstate(all="raise"):
+        assert np.array_equal(b.evaluate(grid), _seed_evaluate(b, grid))
 
 
 def test_importing_the_cli_leaves_the_worker_pool_unloaded():
