@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import enum
 import io
 import os
 import tempfile
@@ -80,7 +81,7 @@ NODE_FAMILIES = {
 @dataclass(frozen=True)
 class MethodInfo:
     name: str
-    params: dict  # key -> python type of the value, or the tuple of allowed enum members
+    params: dict  # key -> python type of the value; an enum class takes its members or their values
     build: Callable
     inputs: tuple[str, ...] = ("n_samples",)  # run inputs it reads; without n_samples it samples f itself
     family: str = "equispaced"  # nodes its n_samples samples are drawn on
@@ -95,9 +96,9 @@ def _coerce_params(info: MethodInfo, raw: dict) -> dict:
                 f"allowed: {sorted(info.params) or 'none'}"
             )
         typ = info.params[key]
-        if isinstance(typ, tuple):
+        if issubclass(typ, enum.Enum):
             choices = {member.value: member for member in typ}
-            member = value if value in typ else choices.get(str(value))
+            member = value if isinstance(value, typ) else choices.get(str(value))
             if member is None:
                 raise UsageError(
                     f"parameter {key!r} for method {info.name!r} must be one of {list(choices)}"
@@ -156,7 +157,7 @@ METHODS: dict[str, MethodInfo] = {
         ),
         MethodInfo(
             "tikhonov",
-            {"lam": float, "operator": tuple(TikhonovOperator)},
+            {"lam": float, "operator": TikhonovOperator},
             lambda s, f, d, iv, **p: (interpolants.tikhonov_fit(s, d, **p), _nodes(s)),
             _FITTED,
         ),
@@ -175,9 +176,9 @@ METHODS: dict[str, MethodInfo] = {
             "tisi",
             {
                 "epsilon": float,
-                "left": tuple(BandStrategy),
-                "center": tuple(BandStrategy),
-                "right": tuple(BandStrategy),
+                "left": BandStrategy,
+                "center": BandStrategy,
+                "right": BandStrategy,
                 "nodes_per_interval": int,
             },
             lambda s, f, d, iv, **p: (interpolants.tisi_fit(f, iv, TisiConfig(**p)), {}),
@@ -185,7 +186,7 @@ METHODS: dict[str, MethodInfo] = {
         ),
         MethodInfo(
             "svd",
-            {"threshold": float, "basis": (Basis.MONOMIAL, Basis.LEGENDRE)},
+            {"threshold": float, "basis": Basis},
             lambda s, f, d, iv, **p: (interpolants.svd_truncated_fit(s, d, **p), _nodes(s)),
             _FITTED,
         ),

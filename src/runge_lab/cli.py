@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 usage error, 1 runtime/numeric error.
 from __future__ import annotations
 
 import argparse
+import enum
 import sys
 from pathlib import Path
 
@@ -152,7 +153,7 @@ def _cmd_list_methods():
         info = bench.METHODS[name]
         # an enum-valued parameter takes one of its members' string values
         params = ", ".join(
-            f"{k}:{'str' if isinstance(t, tuple) else t.__name__}" for k, t in sorted(info.params.items())
+            f"{k}:{'str' if issubclass(t, enum.Enum) else t.__name__}" for k, t in sorted(info.params.items())
         ) or "-"
         print(f"{name:28s} params: {params}")
     for fid, note in bench.UNSUPPORTED_FIGURE_NOTE.items():

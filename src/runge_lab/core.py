@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import operator
 import os
 import threading
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import legendre as _leg
 from numpy.polynomial import polynomial as _poly
 
@@ -25,13 +25,11 @@ class NodeFamily(enum.Enum):
     EQUISPACED = "equispaced"
     CHEBYSHEV_ROOTS = "chebyshev_roots"
     CHEBYSHEV_LOBATTO = "chebyshev_lobatto"
-    MOCK_CHEBYSHEV_SUBSET = "mock_chebyshev_subset"
     CUSTOM = "custom"
 
 
 class Basis(enum.Enum):
     MONOMIAL = "monomial"
-    CHEBYSHEV_T = "chebyshev_t"
     LEGENDRE = "legendre"
 
     def vander(self, t, degree: int) -> np.ndarray:
@@ -45,7 +43,6 @@ class Basis(enum.Enum):
 
 _BASIS_FUNCTIONS = {  # basis -> (vander, val)
     Basis.MONOMIAL: (_poly.polyvander, _poly.polyval),
-    Basis.CHEBYSHEV_T: (_cheb.chebvander, _cheb.chebval),
     Basis.LEGENDRE: (_leg.legvander, _leg.legval),
 }
 
@@ -58,6 +55,8 @@ class Interval:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
+        if not all(map(math.isfinite, (self.lo, self.hi, float(self.hi) - float(self.lo)))):
+            raise ValueError(f"interval requires finite ends and width, got [{self.lo}, {self.hi}]")
 
     @property
     def width(self) -> float:
@@ -199,12 +198,11 @@ class BasisPoly(Approximant):
         return len(self.coeffs)
 
 
-# Elements per block of Barycentric.evaluate (points x nodes) and of
-# barycentric_weights (rows x nodes): big enough that paper-size calls are one
-# block. A block is 2 MiB of float64: the whole per-core L2 of the 2-vCPU Xeon
-# VM the benchmarks ran on, so it does not stay in cache between phases.
-# The block bounds fix the results, so this is not a tuning knob: a new size
-# moves large evaluations by a rounding.
+# Elements per block of _blockwise (points x nodes): big enough that paper-size
+# calls are one block. A block is 2 MiB of float64: the whole per-core L2 of the
+# 2-vCPU Xeon VM the benchmarks ran on, so it does not stay in cache between
+# phases. The block bounds fix the results, so this is not a tuning knob: a new
+# size moves large evaluations by a rounding.
 _EVAL_BLOCK = 1 << 18
 
 # Threads that run the blocks of one call: one per CPU this process may use.
@@ -222,23 +220,56 @@ if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but none
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _run_blocks(task, starts: range) -> None:
-    """Run ``task(starts)``, which computes the blocks at the starts it is
-    given, on k = min(_WORKERS, len(starts)) worker threads.
+def _blockwise(points: np.ndarray, nodes: np.ndarray, finish) -> None:
+    """Call ``finish(start, diffs)`` once per block of ``max(1, _EVAL_BLOCK // n)``
+    points, with ``diffs[i, j] = points[start + i] - nodes[j]``, which
+    ``finish`` may overwrite.
 
-    With one worker the task runs inline in the caller, over every start.
-    Otherwise each of k pool threads (the pool is made on first use) runs the
-    task over an iterator that hands out the starts no worker has claimed
-    yet, one at a time, so a worker slowed by another thread on its CPU takes
-    fewer blocks instead of holding up the call. Each runs under the caller's
-    float-error settings (numpy keeps them per thread or per context, and
-    neither reaches a pool thread), and the first exception re-raises here
-    once every worker has ended. The tasks only call numpy ufuncs and BLAS,
-    which release the GIL, so the workers run in parallel.
+    Cost model: O(m n) arithmetic for m points and n nodes. Each worker reuses
+    one (block x n) buffer, so temporary memory is O(workers x _EVAL_BLOCK)
+    rather than O(m n). The block bounds, not the number of workers, fix every
+    result bit for bit.
+
+    The differences are formed with numpy's ufunc buffer cut to one row. When
+    three or more rows fit in numpy's buffer (8192 elements by default, so for
+    rows of up to about 2700), numpy copies both broadcast operands through
+    it, and the subtract takes 1.2-1.8 ns per element against 0.3-0.5 ns
+    unbuffered (buffered, it was 39-47% of one thread's evaluation of Lobatto
+    n = 1000 on 20 000 points). Each element is one correctly rounded
+    subtraction whatever the loop order, so the buffer cannot change a bit.
+    Rows shorter than about 35 are slower unbuffered: at n = 11 a 1001-point
+    evaluation takes about 170 us against 105 us. The buffer size is numpy's
+    per thread (1.x) or per context (2.x), and it is restored even if the
+    subtract raises, so a pool thread never keeps it into its next task.
+
+    The blocks run on k = min(_WORKERS, blocks) threads: inline in the caller
+    for one, else on k pool threads (the pool is made on first use), each
+    claiming the starts no worker has claimed yet, one at a time, so a worker
+    slowed by another thread on its CPU takes fewer blocks instead of holding
+    up the call. Each runs under the caller's float-error settings (numpy keeps
+    them per thread or per context, and neither reaches a pool thread), and
+    the first exception re-raises here once every worker has ended. The blocks
+    only call numpy ufuncs and BLAS, which release the GIL, so the workers run
+    in parallel.
     """
+    m, n = len(points), len(nodes)
+    block = max(1, _EVAL_BLOCK // n)
+    starts = range(0, m, block)
+
+    def run(claimed):
+        buf = np.empty((min(block, m), n))
+        for start in claimed:
+            diffs = buf[: min(block, m - start)]
+            old = np.setbufsize(16)
+            try:
+                np.subtract(points[start : start + block, None], nodes, out=diffs)
+            finally:
+                np.setbufsize(old)
+            finish(start, diffs)
+
     k = min(_WORKERS, len(starts))
     if k <= 1:
-        task(starts)
+        run(starts)
         return
     saved = {**np.geterr(), "call": np.geterrcall()}
     unclaimed, lock = iter(starts), threading.Lock()
@@ -249,7 +280,7 @@ def _run_blocks(task, starts: range) -> None:
 
     def work():
         with np.errstate(**saved):
-            task(iter(claim, None))
+            run(iter(claim, None))
 
     futures = [_pool().submit(work) for _ in range(k)]
     for f in futures:
@@ -258,42 +289,16 @@ def _run_blocks(task, starts: range) -> None:
         f.result()
 
 
-def _differences(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """``out[i, j] = a[i] - b[j]``, with numpy's ufunc buffer cut to one row.
-
-    When three or more rows of ``out`` fit in numpy's buffer (8192 elements
-    by default, so for rows of up to about 2700), numpy copies both broadcast
-    operands through it, and the subtract takes 1.2-1.8 ns per element
-    against 0.3-0.5 ns unbuffered. Each element is one correctly rounded
-    subtraction whatever the loop order, so the buffer cannot change a bit.
-    Rows shorter than about 35 are slower unbuffered: at n = 11 a 1001-point
-    evaluation takes about 170 us against 105 us. The buffer size is numpy's
-    per thread (1.x) or per context (2.x), and it is restored even if the
-    subtract raises, so a pool thread never keeps it into its next task.
-    """
-    old = np.setbufsize(16)
-    try:
-        np.subtract(a[:, None], b, out=out)
-    finally:
-        np.setbufsize(old)
-
-
 def barycentric_weights(xs: np.ndarray) -> np.ndarray:
     """Classic product-form barycentric weights, capacity-rescaled so the
     products stay in range for a few dozen nodes.
 
-    O(n^2) arithmetic, done in blocks of ``max(1, _EVAL_BLOCK // n)`` rows,
-    which :func:`_run_blocks` spreads over the available CPUs. Each worker
-    reuses one (block x n) buffer, so temporary memory is
-    O(workers x _EVAL_BLOCK) rather than O(n^2). Each block's differences
-    come from :func:`_differences`, unbuffered: at n = 1000 one worker's call
-    takes 3.1 ms against 4.2 ms buffered, and from n = 2700 on, where numpy
-    does not buffer, the two are the same. Each row's product is taken in
-    the same order as over the whole matrix, so the weights do not depend on
-    the block size or on the number of workers. The products leave the float
-    range for large n. It is the fallback of :meth:`Barycentric.fit` for node
-    sets without a closed form: equispaced, custom and mock-Chebyshev subset
-    nodes.
+    O(n^2) arithmetic, in the row blocks of :func:`_blockwise`. Each row's
+    product is taken in the same order as over the whole matrix, so the
+    weights do not depend on the block size or on the number of workers. The
+    products leave the float range for large n. It is the fallback of
+    :meth:`Barycentric.fit` for node sets without a closed form: equispaced,
+    custom and mock-Chebyshev subset nodes.
     """
     xs = np.asarray(xs, dtype=float)
     n = len(xs)
@@ -301,19 +306,14 @@ def barycentric_weights(xs: np.ndarray) -> np.ndarray:
         raise ValueError("barycentric weights need at least two nodes")
     cap = (xs[-1] - xs[0]) / 4.0
     w = np.empty(n)
-    block = max(1, _EVAL_BLOCK // n)
 
-    def fill(starts):
-        buf = np.empty((min(block, n), n))
-        for start in starts:
-            diffs = buf[: min(block, n - start)]
-            _differences(xs[start : start + block], xs, diffs)
-            np.divide(diffs, cap, out=diffs)
-            rows = np.arange(len(diffs))
-            diffs[rows, start + rows] = 1.0
-            np.divide(1.0, np.prod(diffs, axis=1), out=w[start : start + block])
+    def finish(start, diffs):
+        np.divide(diffs, cap, out=diffs)
+        rows = np.arange(len(diffs))
+        diffs[rows, start + rows] = 1.0
+        np.divide(1.0, np.prod(diffs, axis=1), out=w[start : start + len(diffs)])
 
-    _run_blocks(fill, range(0, n, block))
+    _blockwise(xs, xs, finish)
     return w
 
 
@@ -338,20 +338,13 @@ class Barycentric(Approximant):
     Node hits are detected by exact floating equality, returning the stored
     ordinate, which sidesteps the 0/0 case without a fuzzy epsilon.
 
-    Cost model: evaluating m points is O(m n) arithmetic, done in blocks of
-    ``max(1, _EVAL_BLOCK // n)`` points, which :func:`_run_blocks` spreads
-    over the available CPUs. The node hits are found once for all m points, by
-    one ``searchsorted`` on the increasing abscissae, and each worker reuses
-    one (block x n) buffer, written and divided in place, so temporary memory
-    is O(workers x block x n) rather than O(m n). The block bounds, not the
-    number of workers, fix every result bit for bit.
-    Each block's ``x - x_j`` come from :func:`_differences`, with numpy's
-    operand buffering off. Buffered, that subtract was the largest phase:
-    on one thread, for Lobatto n = 1000 on 20 000 points, 39-47% of the call
-    against 28-34% for the divide, 15-17% for the row sum and 9-10% for the
-    matrix-vector product. Unbuffered, the same call takes a third less
-    time, and the divide is the largest phase (43-47%), then the subtract
-    and the row sum (20-22% each) and the product (12-14%).
+    Cost model: evaluating m points is O(m n) arithmetic, in the point blocks
+    of :func:`_blockwise`. The node hits are found once for all m points, by
+    one ``searchsorted`` on the increasing abscissae, and each block is
+    divided in place. Unbuffered differences leave the divide the largest
+    phase of one thread's call for Lobatto n = 1000 on 20 000 points
+    (43-47%), then the subtract and the row sum (20-22% each) and the
+    matrix-vector product (12-14%).
     The arithmetic is kept on purpose: ``w / (x - x_j)`` per pair, then
     ``(terms @ ys) / terms.sum(axis=1)``. Folding the denominator into the
     matrix product (one GEMM against ``[ys, 1]``) was no faster, and it moves
@@ -392,24 +385,20 @@ class Barycentric(Approximant):
         if not np.isfinite(xs).all():
             raise ValueError("evaluation points must be finite")
         flat = xs.ravel()
-        nodes, m, n = self.nodes.xs, len(flat), len(self.nodes)
-        col = np.minimum(np.searchsorted(nodes, flat), n - 1)
+        nodes = self.nodes.xs
+        col = np.minimum(np.searchsorted(nodes, flat), len(nodes) - 1)
         hit_at = np.flatnonzero(nodes[col] == flat)
         hit_col = col[hit_at]
         out = np.empty_like(flat)
-        block = max(1, _EVAL_BLOCK // n)
 
-        def fill(starts):
-            buf = np.empty((min(block, m), n))
-            for start in starts:
-                terms = buf[: min(block, m - start)]
-                _differences(flat[start : start + block], nodes, terms)
-                lo, hi = np.searchsorted(hit_at, (start, start + block))
-                terms[hit_at[lo:hi] - start, hit_col[lo:hi]] = 1.0  # dummy, overwritten below
-                np.divide(self.weights, terms, out=terms)
-                out[start : start + block] = (terms @ self.ys) / terms.sum(axis=1)
+        def finish(start, terms):
+            stop = start + len(terms)
+            lo, hi = np.searchsorted(hit_at, (start, stop))
+            terms[hit_at[lo:hi] - start, hit_col[lo:hi]] = 1.0  # dummy, overwritten below
+            np.divide(self.weights, terms, out=terms)
+            out[start:stop] = (terms @ self.ys) / terms.sum(axis=1)
 
-        _run_blocks(fill, range(0, m, block))
+        _blockwise(flat, nodes, finish)
         out[hit_at] = self.ys[hit_col]
         return out.reshape(xs.shape)
 

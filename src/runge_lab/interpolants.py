@@ -68,8 +68,7 @@ def cubic_spline(samples: SampleSet) -> Piecewise:
     sup = h[1:-1] / 6.0
     rhs = np.diff(y[1:]) / h[1:] - np.diff(y[:-1]) / h[:-1]
     m = np.zeros(n)
-    if n > 2:
-        m[1:-1] = linalg.solve_tridiagonal(sub, diag, sup, rhs)
+    m[1:-1] = linalg.solve_tridiagonal(sub, diag, sup, rhs)
     # Expand m0 (x1-X)^3/6h + m1 (X-x0)^3/6h + a (x1-X) + b (X-x0) on every
     # piece [x0, x1] of t at once into monomial coefficients c0 + c1 X + c2 X^2 + c3 X^3.
     x0, x1, m0, m1 = t[:-1], t[1:], m[:-1], m[1:]
@@ -250,7 +249,7 @@ def mock_chebyshev_interpolate(full: SampleSet, m: int = 10) -> Barycentric:
     idx = list(mock_chebyshev_subset(full.nodes, m))
     if len(idx) < 2:
         raise ValueError("mock-Chebyshev subset collapsed below two nodes")
-    subset = NodeSet(full.interval, full.xs[idx], NodeFamily.MOCK_CHEBYSHEV_SUBSET)
+    subset = NodeSet(full.interval, full.xs[idx])
     return Barycentric.fit(SampleSet(subset, full.ys[idx]))
 
 
@@ -368,8 +367,6 @@ def svd_truncated_fit(
     through the relative-threshold truncated pseudo-inverse."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    if basis is Basis.CHEBYSHEV_T:
-        raise ValueError("svd_truncated_fit supports the monomial and Legendre bases")
     A = linalg.design_matrix(samples.nodes, degree, basis)
     coeffs, _ = linalg.truncated_pinv_solve(A, samples.ys, threshold)
     return BasisPoly(basis, coeffs, samples.interval)

@@ -154,8 +154,7 @@ def truncated_pinv_solve(A: np.ndarray, y: np.ndarray, threshold: float) -> tupl
     if len(y) != f.U.shape[0]:
         raise ValueError("rhs length must match row count")
     s = f.singular_values
-    smax = s[0] if len(s) else 0.0
-    keep = (s > 0) & (s >= threshold * smax) if smax > 0 else np.zeros(len(s), dtype=bool)
+    keep = (s > 0) & (s >= threshold * float(s[0]))  # inf * 0.0 is NaN, without numpy's warning
     kept_rank = int(np.count_nonzero(keep))
     if kept_rank == 0:
         raise NumericError("fully truncated: no singular values survive the threshold")

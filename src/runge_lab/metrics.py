@@ -3,6 +3,7 @@ convergence studies across a parameter grid."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -63,7 +64,7 @@ def chebyshev_bound(n: int, M: float) -> float:
         raise ValueError("n must be >= 0")
     if M < 0:
         raise ValueError("M must be >= 0")
-    return M / (2.0**n * (n + 1))
+    return math.ldexp(M / (n + 1), -n)  # no 2.0**n, which overflows from n = 1024
 
 
 def convergence_study(

@@ -32,7 +32,7 @@ def test_cli_run_bad_param(tmp_path, capsys):
         ("lagrange", "alpha=1", "alpha"),
         ("tikhonov", "operator=bogus", "second_difference"),
         ("svd", "basis=bogus", "legendre"),
-        ("svd", "basis=chebyshev_t", "legendre"),  # a basis the SVD fit rejects
+        ("svd", "basis=chebyshev_t", "legendre"),  # no such basis
         ("tisi", "left=bogus", "spline_local"),
         ("tisi", "improved=true", "nodes_per_interval"),  # improved TISI is center=lagrange_cheb
     ]

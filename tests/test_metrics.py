@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,17 @@ def test_error_report_grid_refinement_stable():
 def test_chebyshev_bound_examples():
     assert chebyshev_bound(0, 2.0) == 2.0
     assert chebyshev_bound(3, 16.0) == 0.5
+
+
+def test_chebyshev_bound_keeps_its_bits_and_stays_finite_at_large_n():
+    for n in range(60):
+        for M in (0.1, 1.0, 3.7, 1e300):
+            assert chebyshev_bound(n, M) == M / (2.0**n * (n + 1))  # the textbook formula, bit for bit
+    # 2.0**n * (n + 1) overflows from n = 1015, and 2.0**n raises from n = 1024
+    bounds = [chebyshev_bound(n, 1.0) for n in (1013, 1015, 1024, 3000)]
+    assert all(math.isfinite(b) and b >= 0.0 for b in bounds)
+    assert bounds == sorted(bounds, reverse=True)
+    assert bounds[1] > 0.0  # about 2.8e-309, not the 0.0 of an overflowed denominator
 
 
 @given(M=st.floats(0.1, 100), n=st.integers(0, 30))
