@@ -231,18 +231,6 @@ def test_a_worker_exception_re_raises_in_the_caller(monkeypatch):
     assert sorted(done) == [1, 2, 3]  # the other worker took every block left, and ended before the raise
 
 
-def _collected_differences(points, nodes):
-    got, starts = np.full((len(points), len(nodes)), np.nan), []
-
-    def finish(start, diffs):
-        assert np.getbufsize() == 8192  # the cut buffer covers the subtract alone
-        got[start : start + len(diffs)] = diffs
-        starts.append(start)
-
-    core._blockwise(points, nodes, finish)
-    return got, sorted(starts)
-
-
 @pytest.mark.parametrize("n", [1, 5, 21, 201, 1000, 2000, 3000])  # numpy buffers the broadcast up to n ~ 2700
 def test_differences_match_the_broadcast_subtract(n):
     rng = np.random.default_rng(n)
@@ -250,8 +238,15 @@ def test_differences_match_the_broadcast_subtract(n):
     a, b = rng.uniform(-1.0, 1.0, 2 * rows + 3), np.sort(rng.uniform(-1.0, 1.0, n))  # two blocks and a short one
     a[: min(rows, 4)] = [0.0, -0.0, 0.0, -0.0][: min(rows, 4)]  # signed zeros against signed zeros
     b[0] = -0.0 if n % 2 else 0.0
-    got, starts = _collected_differences(a, b)
-    assert starts == [0, rows, 2 * rows]
+    got, starts = np.full((len(a), n), np.nan), []
+
+    def finish(start, diffs):
+        assert np.getbufsize() == 8192  # the cut buffer covers the subtract alone
+        got[start : start + len(diffs)] = diffs
+        starts.append(start)
+
+    core._blockwise(a, b, finish)
+    assert sorted(starts) == [0, rows, 2 * rows]
     assert got.tobytes() == (a[:, None] - b).tobytes()  # bit for bit, so the sign of every zero too
 
 
