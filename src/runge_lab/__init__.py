@@ -39,7 +39,6 @@ from .nodes import (
     chebyshev_lobatto,
     chebyshev_roots,
     equispaced,
-    every_other_subset,
     mock_chebyshev_subset,
 )
 

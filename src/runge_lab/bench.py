@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import interpolants, metrics, nodes
-from .core import Basis, Interval, RUNGE, TargetFunction
+from .core import Basis, Interval, NodeFamily, RUNGE, TargetFunction
 from .interpolants import BandStrategy, EfciConfig, PenaltyKind, TikhonovOperator, TisiConfig
 from .metrics import DEFAULT_GRID_SIZE, ErrorReport, error_report
 
@@ -67,14 +67,13 @@ def _figure_error(fid) -> str:
 # user or a figure sets, so every default is the library function's or config
 # dataclass's.
 
-# Node family name -> (sample count, interval) -> NodeSet. Each generator is
+# Node family -> (sample count, interval) -> NodeSet. Each generator is
 # looked up on the nodes module at call time, so a wrapper installed on the
 # module attribute sees every call.
 NODE_FAMILIES = {
-    "equispaced": lambda n, iv: nodes.equispaced(n, iv),
-    "chebyshev_roots": lambda n, iv: nodes.chebyshev_roots(n - 1, iv),
-    "chebyshev_lobatto": lambda n, iv: nodes.chebyshev_lobatto(n - 1, iv),
-    "every_other": lambda n, iv: nodes.every_other_subset(nodes.equispaced(n, iv)),
+    NodeFamily.EQUISPACED: lambda n, iv: nodes.equispaced(n, iv),
+    NodeFamily.CHEBYSHEV_ROOTS: lambda n, iv: nodes.chebyshev_roots(n - 1, iv),
+    NodeFamily.CHEBYSHEV_LOBATTO: lambda n, iv: nodes.chebyshev_lobatto(n - 1, iv),
 }
 
 
@@ -84,7 +83,7 @@ class MethodInfo:
     params: dict  # key -> python type of the value; an enum class takes its members or their values
     build: Callable
     inputs: tuple[str, ...] = ("n_samples",)  # run inputs it reads; without n_samples it samples f itself
-    family: str = "equispaced"  # nodes its n_samples samples are drawn on
+    family: NodeFamily = NodeFamily.EQUISPACED  # nodes its n_samples samples are drawn on
 
 
 def _coerce_params(info: MethodInfo, raw: dict) -> dict:
@@ -96,15 +95,6 @@ def _coerce_params(info: MethodInfo, raw: dict) -> dict:
                 f"allowed: {sorted(info.params) or 'none'}"
             )
         typ = info.params[key]
-        if issubclass(typ, enum.Enum):
-            choices = {member.value: member for member in typ}
-            member = value if isinstance(value, typ) else choices.get(str(value))
-            if member is None:
-                raise UsageError(
-                    f"parameter {key!r} for method {info.name!r} must be one of {list(choices)}"
-                )
-            out[key] = member
-            continue
         try:
             if typ is bool and isinstance(value, str):
                 if value.lower() not in ("true", "false", "1", "0"):
@@ -113,7 +103,8 @@ def _coerce_params(info: MethodInfo, raw: dict) -> dict:
             else:
                 out[key] = typ(value)
         except (TypeError, ValueError):
-            raise UsageError(f"parameter {key!r} for method {info.name!r} must be {typ.__name__}")
+            want = f"one of {[m.value for m in typ]}" if issubclass(typ, enum.Enum) else typ.__name__
+            raise UsageError(f"parameter {key!r} for method {info.name!r} must be {want}")
         if typ is float and not np.isfinite(out[key]):
             raise UsageError(f"parameter {key!r} for method {info.name!r} must be finite, got {value}")
         # a value given other than as a string must be exact: no rounding, and a bool only for a bool
@@ -147,7 +138,7 @@ METHODS: dict[str, MethodInfo] = {
     for info in (
         MethodInfo("lagrange", {}, _lagrange),
         # Chebyshev interpolation is Lagrange interpolation at the Chebyshev roots
-        MethodInfo("chebyshev", {}, _lagrange, family="chebyshev_roots"),
+        MethodInfo("chebyshev", {}, _lagrange, family=NodeFamily.CHEBYSHEV_ROOTS),
         MethodInfo("spline", {}, lambda s, f, d, iv: (interpolants.cubic_spline(s), _nodes(s))),
         MethodInfo("unregularized", {}, _penalized(PenaltyKind.NONE), _FITTED),
         MethodInfo("ridge", {"alpha": float}, _penalized(PenaltyKind.RIDGE), _FITTED),
@@ -225,7 +216,7 @@ class FitSpec:
     params: dict = field(default_factory=dict)
     n_samples: int = 11
     degree: int | None = 10  # None: _fit's default degree for n_samples
-    family: str | None = None  # None: the method's own
+    family: NodeFamily | None = None  # None: the method's own
 
 
 @dataclass(frozen=True)
@@ -278,13 +269,14 @@ FIGURES: dict[int, FigureSpec] = {
     9: FigureSpec(
         (
             FitSpec("equispaced", "lagrange", n_samples=21),
-            FitSpec("chebyshev-lobatto", "lagrange", n_samples=21, family="chebyshev_lobatto"),
-            FitSpec("every-other subset", "lagrange", n_samples=21, family="every_other"),
+            FitSpec("chebyshev-lobatto", "lagrange", n_samples=21, family=NodeFamily.CHEBYSHEV_LOBATTO),
+            # every other node of the 21-point grid is the 11-point grid, bit for bit
+            FitSpec("every-other subset", "lagrange", n_samples=11),
         )
     ),
     11: _svd_figure(),
     12: _svd_figure(resizable=True, n_samples=21, degree=None),
-    13: _svd_figure(family="chebyshev_roots"),
+    13: _svd_figure(family=NodeFamily.CHEBYSHEV_ROOTS),
 }
 SUPPORTED_FIGURES = tuple(FIGURES)
 

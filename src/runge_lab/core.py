@@ -72,7 +72,8 @@ class Interval:
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - 1e-12) and np.all(x <= self.hi + 1e-12))  # rounding slack
+        slack = 1e-12 * min(1.0, self.width / 2)  # rounding slack, scaled down on intervals narrower than 2
+        return bool(np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack))
 
 
 def _frozen_array(values) -> np.ndarray:

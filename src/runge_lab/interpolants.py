@@ -22,7 +22,6 @@ from .core import (
     BasisPoly,
     Interval,
     MonomialTable,
-    NodeFamily,
     NodeSet,
     Piecewise,
     SampleSet,
@@ -113,15 +112,13 @@ def fit_regularized(
     penalty: PenaltyKind | str = PenaltyKind.NONE,
     alpha: float = 0.01,
     rho: float = 0.5,
-    tol: float = linalg.CD_TOL,
-    max_iter: int = linalg.CD_MAX_ITER,
 ) -> BasisPoly:
     """Monomial fit of the given degree under the chosen penalty.
 
     With no penalty this is the plain (overfit-prone) least-squares baseline;
     ridge, (1/2N)||A c - y||^2 + (alpha/2)||c||^2, is tikhonov_fit with
     lam = sqrt(N*alpha); lasso and elastic net run coordinate descent and warn
-    (RuntimeWarning) when it stops at max_iter without converging.
+    (RuntimeWarning) when they stop after linalg.CD_MAX_ITER sweeps unconverged.
     The monomials and ``alpha`` act in the unit coordinate t (see BasisPoly).
     """
     penalty = PenaltyKind(penalty)
@@ -138,10 +135,11 @@ def fit_regularized(
     # lasso is the elastic net with rho = 1
     rho = 1.0 if penalty is PenaltyKind.LASSO else rho
     A = linalg.design_matrix(samples.nodes, degree, Basis.MONOMIAL)
-    result = linalg.elastic_net_cd(A, samples.ys, alpha, rho=rho, tol=tol, max_iter=max_iter)
+    result = linalg.elastic_net_cd(A, samples.ys, alpha, rho=rho)
     if not result.converged:
         warnings.warn(
-            f"{penalty.value} coordinate descent did not converge in {result.n_sweeps} sweeps (tol={tol:g})",
+            f"{penalty.value} coordinate descent did not converge in {result.n_sweeps} sweeps "
+            f"(tol={linalg.CD_TOL:g})",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -324,7 +322,7 @@ def _band_nodes(band: Interval, strategy: BandStrategy, n: int) -> NodeSet:
         # in so adjacent pieces share a node and the join stays continuous.
         interior = chebyshev_roots(max(n - 3, 0), band).xs if n >= 3 else np.array([])
         xs = np.unique(np.concatenate([[band.lo], interior, [band.hi]]))
-        return NodeSet(band, xs, NodeFamily.CUSTOM)
+        return NodeSet(band, xs)
     return equispaced(n, band)
 
 
@@ -361,10 +359,11 @@ def svd_truncated_fit(
     samples: SampleSet,
     degree: int,
     threshold: float = 1e-10,
-    basis: Basis = Basis.LEGENDRE,
+    basis: Basis | str = Basis.LEGENDRE,
 ) -> BasisPoly:
     """Design matrix in the chosen basis of the unit coordinate t, solved
     through the relative-threshold truncated pseudo-inverse."""
+    basis = Basis(basis)
     if degree < 0:
         raise ValueError("degree must be >= 0")
     A = linalg.design_matrix(samples.nodes, degree, basis)

@@ -62,8 +62,8 @@ def chebyshev_bound(n: int, M: float) -> float:
     where M bounds |f^(n+1)| on the interval."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if M < 0:
-        raise ValueError("M must be >= 0")
+    if not 0 <= M < math.inf:
+        raise ValueError("M must be finite and >= 0")
     return math.ldexp(M / (n + 1), -n)  # no 2.0**n, which overflows from n = 1024
 
 

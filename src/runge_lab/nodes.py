@@ -48,10 +48,3 @@ def mock_chebyshev_subset(source: NodeSet, m: int) -> tuple[int, ...]:
     targets = chebyshev_lobatto(m, source.interval).xs
     picked = [int(np.argmin(np.abs(source.xs - t))) for t in targets]  # argmin ties -> first = smaller x
     return tuple(sorted(set(picked)))
-
-
-def every_other_subset(source: NodeSet) -> NodeSet:
-    """Every second grid point starting from the left endpoint."""
-    if len(source) < 3:
-        raise ValueError("source grid needs at least three nodes")
-    return NodeSet(source.interval, source.xs[::2], NodeFamily.CUSTOM)

@@ -8,6 +8,7 @@ from runge_lab import (
     Basis,
     ErrorReport,
     Interval,
+    NodeFamily,
     TargetFunction,
     bench,
     chebyshev_roots,
@@ -109,6 +110,14 @@ def test_coerce_params_refuses_a_member_outside_the_choices():
         bench._coerce_params(bench.METHODS["svd"], {"basis": interpolants.PenaltyKind.RIDGE})
     with pytest.raises(UsageError, match="center"):
         bench._coerce_params(bench.METHODS["tisi"], {"center": Basis.MONOMIAL})
+
+
+@pytest.mark.parametrize("n", [2, 11, 21])
+def test_node_families_are_keyed_by_the_tag_of_the_nodes_they_make(n):
+    assert set(bench.NODE_FAMILIES) == set(NodeFamily) - {NodeFamily.CUSTOM}
+    for family, generate in bench.NODE_FAMILIES.items():
+        nodes = generate(n, Interval(-3.0, 2.0))
+        assert len(nodes) == n and nodes.family is family
 
 
 _S11 = RUNGE.sample(equispaced(11))

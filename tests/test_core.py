@@ -56,6 +56,15 @@ def test_interval_takes_a_wide_finite_span():
     assert np.array_equal(iv.to_unit([-1e307, 0.0, 1e307]), [-1.0, 0.0, 1.0])
 
 
+def test_interval_slack_is_rounding_not_widths():
+    # on [-1, 1] the slack is 1e-12; on a narrow interval it shrinks with the width
+    assert NodeSet(Interval(), [-1.0 - 1e-12, 0.0]).xs[0] == -1.0 - 1e-12
+    with pytest.raises(ValueError, match="within the interval"):
+        NodeSet(Interval(), [-1.0 - 2e-12, 0.0])
+    with pytest.raises(ValueError, match="within the interval"):
+        NodeSet(Interval(0.0, 1e-14), [-9e-13, 0.0])
+
+
 def test_interval_maps_roundtrip():
     iv = Interval(0.0, 4.0)
     x = np.array([0.0, 1.0, 4.0])

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from oracle_utils import barycentric_oracle, runge_ld
+from runge_lab import linalg
 from runge_lab.core import (
     Basis,
     BasisPoly,
@@ -209,10 +212,12 @@ def test_lasso_above_zero_threshold_gives_zero_poly():
 
 
 @pytest.mark.parametrize("penalty", [PenaltyKind.LASSO, PenaltyKind.ELASTIC_NET], ids=lambda p: p.value)
-def test_unconverged_coordinate_descent_warns(penalty, recwarn):
+def test_unconverged_coordinate_descent_warns(penalty, recwarn, monkeypatch):
     s = RUNGE.sample(equispaced(41))
-    with pytest.warns(RuntimeWarning, match=rf"{penalty.value} .* 1 sweeps \(tol=1e-08\)"):
-        fit_regularized(s, 20, penalty, alpha=1e-3, max_iter=1)
+    with monkeypatch.context() as m:  # fit_regularized looks the solver up on linalg at call time
+        m.setattr(linalg, "elastic_net_cd", functools.partial(linalg.elastic_net_cd, max_iter=1))
+        with pytest.warns(RuntimeWarning, match=rf"{penalty.value} .* 1 sweeps \(tol=1e-08\)"):
+            fit_regularized(s, 20, penalty, alpha=1e-3)
     recwarn.clear()
     fit_regularized(s, 20, penalty, alpha=1e-3)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
@@ -467,6 +472,16 @@ def test_svd_fit_zero_threshold_interpolates():
     s = RUNGE.sample(equispaced(11))
     fit = svd_truncated_fit(s, 10, 0.0, Basis.LEGENDRE)
     assert np.max(np.abs(fit.evaluate(s.xs) - s.ys)) < 1e-6
+
+
+def test_svd_fit_takes_the_basis_by_value():
+    s = RUNGE.sample(equispaced(11))
+    for basis in Basis:
+        by_value = svd_truncated_fit(s, 10, 1e-10, basis.value)
+        assert by_value.basis is basis
+        assert np.array_equal(by_value.coeffs, svd_truncated_fit(s, 10, 1e-10, basis).coeffs)
+    with pytest.raises(ValueError):
+        svd_truncated_fit(s, 10, 1e-10, "bogus")
 
 
 def test_svd_fit_magnitude_monotone_in_threshold():

@@ -65,6 +65,12 @@ def test_chebyshev_bound_keeps_its_bits_and_stays_finite_at_large_n():
     assert bounds[1] > 0.0  # about 2.8e-309, not the 0.0 of an overflowed denominator
 
 
+@pytest.mark.parametrize("M", [math.nan, math.inf, -1.0])
+def test_chebyshev_bound_refuses_a_non_finite_or_negative_m(M):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        chebyshev_bound(5, M)
+
+
 @given(M=st.floats(0.1, 100), n=st.integers(0, 30))
 @settings(max_examples=40, deadline=None)
 def test_chebyshev_bound_monotone_in_n(M, n):

@@ -4,14 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import brute_force_nearest_subset
-from runge_lab.core import Interval, NodeFamily
-from runge_lab.nodes import (
-    chebyshev_lobatto,
-    chebyshev_roots,
-    equispaced,
-    every_other_subset,
-    mock_chebyshev_subset,
-)
+from runge_lab.core import Interval
+from runge_lab.nodes import chebyshev_lobatto, chebyshev_roots, equispaced, mock_chebyshev_subset
 
 
 def test_equispaced_examples():
@@ -91,10 +85,8 @@ def test_mock_subset_oracle_equivalence(n, m):
     assert list(sel) == expect
 
 
-def test_every_other_subset():
-    assert np.array_equal(every_other_subset(equispaced(5)).xs, equispaced(5).xs[[0, 2, 4]])
-    assert np.array_equal(every_other_subset(equispaced(4)).xs, equispaced(4).xs[[0, 2]])
-    assert len(every_other_subset(equispaced(21))) == 11
-    assert every_other_subset(equispaced(5)).family is NodeFamily.CUSTOM  # not a mock-Chebyshev subset
-    with pytest.raises(ValueError):
-        every_other_subset(equispaced(2))
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-3.0, 2.0), (100.0, 102.0)])
+def test_every_other_node_of_21_equispaced_is_the_11_point_grid(lo, hi):
+    # figure 9's every-other subset is drawn as the 11-point grid on this identity
+    iv = Interval(lo, hi)
+    assert equispaced(21, iv).xs[::2].tobytes() == equispaced(11, iv).xs.tobytes()
