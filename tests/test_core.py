@@ -56,7 +56,7 @@ def test_interval_takes_a_wide_finite_span():
     assert np.array_equal(iv.to_unit([-1e307, 0.0, 1e307]), [-1.0, 0.0, 1.0])
 
 
-def test_interval_slack_is_rounding_not_widths():
+def test_interval_slack_shrinks_on_a_narrow_interval():
     # on [-1, 1] the slack is 1e-12; on a narrow interval it shrinks with the width
     assert NodeSet(Interval(), [-1.0 - 1e-12, 0.0]).xs[0] == -1.0 - 1e-12
     with pytest.raises(ValueError, match="within the interval"):
