@@ -7,7 +7,6 @@ never mutates.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import operator
 import os
@@ -170,6 +169,9 @@ class Approximant:
     """Base class for evaluable approximations."""
 
     def evaluate(self, xs) -> np.ndarray:  # pragma: no cover - abstract
+        """Values at the points xs. A non-finite point raises ValueError.
+        ``BasisPoly`` and ``Barycentric`` extrapolate outside their interval;
+        ``Piecewise`` raises ValueError for a point outside its span."""
         raise NotImplementedError
 
     @property
@@ -192,6 +194,9 @@ class BasisPoly(Approximant):
             raise ValueError("coefficient vector must be non-empty")
 
     def evaluate(self, xs) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        if not np.isfinite(xs).all():
+            raise ValueError("evaluation points must be finite")
         return self.basis.val(self.interval.to_unit(xs), self.coeffs)
 
     @property
@@ -208,17 +213,6 @@ _EVAL_BLOCK = 1 << 18
 
 # Threads that run the blocks of one call: one per CPU this process may use.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-@functools.cache
-def _pool():
-    from concurrent.futures import ThreadPoolExecutor  # ~7 ms, so not on the import path
-
-    return ThreadPoolExecutor(thread_name_prefix="runge_lab")
-
-
-if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but none of its threads
-    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _blockwise(points: np.ndarray, nodes: np.ndarray, finish) -> None:
@@ -241,25 +235,33 @@ def _blockwise(points: np.ndarray, nodes: np.ndarray, finish) -> None:
     Rows shorter than about 35 are slower unbuffered: at n = 11 a 1001-point
     evaluation takes about 170 us against 105 us. The buffer size is numpy's
     per thread (1.x) or per context (2.x), and it is restored even if the
-    subtract raises, so a pool thread never keeps it into its next task.
+    subtract raises, so the caller keeps its own.
 
-    The blocks run on k = min(_WORKERS, blocks) threads: inline in the caller
-    for one, else on k pool threads (the pool is made on first use), each
-    claiming the starts no worker has claimed yet, one at a time, so a worker
-    slowed by another thread on its CPU takes fewer blocks instead of holding
-    up the call. Each runs under the caller's float-error settings (numpy keeps
-    them per thread or per context, and neither reaches a pool thread), and
-    the first exception re-raises here once every worker has ended. The blocks
+    The caller is one worker and starts min(_WORKERS, blocks) - 1 helper
+    threads for the call, so one block starts no thread. Each worker claims
+    the starts no worker has claimed yet, one at a time, so a worker slowed by
+    another thread on its CPU takes fewer blocks instead of holding up the
+    call. A helper runs under the caller's float-error settings (numpy keeps
+    them per thread or per context, and neither reaches a new thread). Every
+    helper that started is joined before this returns or raises; the caller's
+    own exception wins, else the first helper's re-raises here. The blocks
     only call numpy ufuncs and BLAS, which release the GIL, so the workers run
     in parallel.
     """
     m, n = len(points), len(nodes)
     block = max(1, _EVAL_BLOCK // n)
     starts = range(0, m, block)
+    unclaimed, lock = iter(starts), threading.Lock()
+    saved = {**np.geterr(), "call": np.geterrcall()}
+    errors = []
 
-    def run(claimed):
+    def claim():
+        with lock:
+            return next(unclaimed, None)
+
+    def run():
         buf = np.empty((min(block, m), n))
-        for start in claimed:
+        for start in iter(claim, None):
             diffs = buf[: min(block, m - start)]
             old = np.setbufsize(16)
             try:
@@ -268,26 +270,25 @@ def _blockwise(points: np.ndarray, nodes: np.ndarray, finish) -> None:
                 np.setbufsize(old)
             finish(start, diffs)
 
-    k = min(_WORKERS, len(starts))
-    if k <= 1:
-        run(starts)
-        return
-    saved = {**np.geterr(), "call": np.geterrcall()}
-    unclaimed, lock = iter(starts), threading.Lock()
+    def helper():
+        try:
+            with np.errstate(**saved):
+                run()
+        except BaseException as e:
+            errors.append(e)
 
-    def claim():
-        with lock:
-            return next(unclaimed, None)
-
-    def work():
-        with np.errstate(**saved):
-            run(iter(claim, None))
-
-    futures = [_pool().submit(work) for _ in range(k)]
-    for f in futures:
-        f.exception()  # every worker ends before an exception reaches the caller
-    for f in futures:
-        f.result()
+    started = []
+    try:
+        for _ in range(min(_WORKERS, len(starts)) - 1):
+            t = threading.Thread(target=helper, name="runge_lab")
+            t.start()
+            started.append(t)
+        run()
+    finally:
+        for t in started:
+            t.join()
+    if errors:
+        raise errors[0]
 
 
 def barycentric_weights(xs: np.ndarray) -> np.ndarray:
@@ -453,6 +454,8 @@ class Piecewise(Approximant):
         object.__setattr__(self, "breakpoints", _frozen_array(self.breakpoints))
         if not isinstance(self.pieces, MonomialTable):
             object.__setattr__(self, "pieces", tuple(self.pieces))
+        if self.breakpoints.ndim != 1 or len(self.breakpoints) < 2 or not np.isfinite(self.breakpoints).all():
+            raise ValueError("breakpoints must be a 1-D array of at least two finite values")
         if np.any(np.diff(self.breakpoints) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         if len(self.pieces) != len(self.breakpoints) - 1:

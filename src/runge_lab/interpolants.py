@@ -242,8 +242,6 @@ def efci_fit(samples: SampleSet, f: TargetFunction, cfg: EfciConfig):
 
 def mock_chebyshev_interpolate(full: SampleSet, m: int = 10) -> Barycentric:
     """Interpolate on the subset of the full grid nearest the Lobatto targets."""
-    if len(full) < 2:
-        raise ValueError("need at least two samples")
     idx = list(mock_chebyshev_subset(full.nodes, m))
     if len(idx) < 2:
         raise ValueError("mock-Chebyshev subset collapsed below two nodes")
@@ -364,8 +362,6 @@ def svd_truncated_fit(
     """Design matrix in the chosen basis of the unit coordinate t, solved
     through the relative-threshold truncated pseudo-inverse."""
     basis = Basis(basis)
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
     A = linalg.design_matrix(samples.nodes, degree, basis)
     coeffs, _ = linalg.truncated_pinv_solve(A, samples.ys, threshold)
     return BasisPoly(basis, coeffs, samples.interval)

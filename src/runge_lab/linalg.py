@@ -73,8 +73,6 @@ def _pivoted_qr_lstsq(A: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Rank-deficient trailing pivot columns get zero coefficients.
     """
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float)
     if A.ndim != 2 or A.size == 0:
         raise ValueError("A must be a non-empty 2-D matrix")
     m, n = A.shape

@@ -23,7 +23,14 @@ from runge_lab.core import (
     barycentric_weights,
     runge,
 )
-from runge_lab.interpolants import BandStrategy, TisiConfig, cubic_spline, mock_chebyshev_interpolate, tisi_fit
+from runge_lab.interpolants import (
+    BandStrategy,
+    TisiConfig,
+    cubic_spline,
+    fit_regularized,
+    mock_chebyshev_interpolate,
+    tisi_fit,
+)
 from runge_lab.metrics import error_report
 from runge_lab.nodes import chebyshev_lobatto, chebyshev_roots, equispaced
 
@@ -240,6 +247,44 @@ def test_a_worker_exception_re_raises_in_the_caller(monkeypatch):
     assert sorted(done) == [1, 2, 3]  # the other worker took every block left, and ended before the raise
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_no_thread_outlives_a_call(monkeypatch, workers):
+    monkeypatch.setattr(core, "_WORKERS", workers)
+    monkeypatch.setattr(core, "_EVAL_BLOCK", 1)  # one point per block
+    points, nodes = np.arange(6.0), np.zeros(1)
+    caller, before = threading.current_thread(), threading.active_count()
+
+    def slow(start, diffs):
+        threading.Event().wait(0.01)  # so every worker claims a block
+
+    core._blockwise(points, nodes, slow)
+    assert threading.active_count() == before
+    for on_caller in (True, False):
+
+        def finish(start, diffs):
+            slow(start, diffs)
+            if (threading.current_thread() is caller) == on_caller:
+                raise KeyError("block")
+
+        with pytest.raises(KeyError):
+            core._blockwise(points, nodes, finish)
+        assert threading.active_count() == before
+
+    real_start, started = threading.Thread.start, []
+
+    def start(thread):  # the last helper fails to start: the second start with three workers
+        if len(started) == workers - 2:
+            raise RuntimeError("can't start new thread")
+        real_start(thread)
+        started.append(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    with pytest.raises(RuntimeError, match="can't start"):
+        core._blockwise(points, nodes, slow)
+    assert not any(t.is_alive() for t in started)  # every helper that started ended before the raise
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("n", [1, 5, 21, 201, 1000, 2000, 3000])  # numpy buffers the broadcast up to n ~ 2700
 def test_differences_match_the_broadcast_subtract(n):
     rng = np.random.default_rng(n)
@@ -272,22 +317,13 @@ def test_differences_leave_the_callers_buffer_size(monkeypatch):
             assert np.getbufsize() == size
             barycentric_weights(xs)
             assert np.getbufsize() == size
-            for points in (np.full(1, np.inf), np.full(1200, np.inf)):  # inline in the caller, then on the pool
+            for points in (np.full(1, np.inf), np.full(1200, np.inf)):  # on the caller alone, then with a helper
                 with pytest.raises(FloatingPointError):
                     core._blockwise(points, np.append(xs[:-1], np.inf), lambda start, diffs: None)  # inf - inf
                 assert np.getbufsize() == size
         finally:
             np.seterr(**old_err)
             np.setbufsize(old)
-    pool = core._pool()
-    meet = threading.Barrier(len(pool._threads))
-
-    def bufsize():
-        meet.wait(timeout=10)  # holds each thread until all have a task, so every pool thread answers
-        return np.getbufsize()
-
-    sizes = [f.result() for f in [pool.submit(bufsize) for _ in range(len(pool._threads))]]
-    assert sizes == [8192] * len(sizes)  # numpy's default, in a pool thread that ran blocks
 
 
 @given(
@@ -314,7 +350,7 @@ def test_importing_the_cli_leaves_the_worker_pool_unloaded():
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_a_forked_child_gets_its_own_worker_pool():
+def test_a_forked_child_evaluates_on_its_own_threads():
     code = """if True:
         import os, signal
         import numpy as np
@@ -325,7 +361,7 @@ def test_a_forked_child_gets_its_own_worker_pool():
         want = b.evaluate(grid)
         pid = os.fork()
         if pid == 0:
-            signal.alarm(30)  # the parent's pool has no threads here: a submit to it would wait for ever
+            signal.alarm(30)  # a child that hangs, say on a thread it did not inherit, fails instead of stalling
             os._exit(0 if np.array_equal(b.evaluate(grid), want) else 1)
         os._exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
     """
@@ -452,7 +488,9 @@ def test_non_finite_points_are_refused(bad):
     spline = cubic_spline(RUNGE.sample(equispaced(11)))
     tisi = tisi_fit(RUNGE, Interval(), TisiConfig())
     bary = Barycentric.fit(RUNGE.sample(equispaced(11)))
-    for approx in (spline, tisi, bary):
+    poly = fit_regularized(RUNGE.sample(equispaced(11)), 4)
+    assert np.ndim(poly.evaluate(0.5)) == 0
+    for approx in (spline, tisi, bary, poly):
         with pytest.raises(ValueError):
             approx.evaluate([bad, 0.0])
         with pytest.raises(ValueError):
@@ -467,3 +505,8 @@ def test_piecewise_validation():
         Piecewise(np.array([0.0, 0.0]), (p,))
     with pytest.raises(ValueError):
         Piecewise(np.array([0.0, 1.0, 2.0]), (p,))
+    for breakpoints, pieces in (([0.0], ()), ([0.0, np.nan, 1.0], (p, p)), ([0.0, 1.0, np.inf], (p, p))):
+        with pytest.raises(ValueError):
+            Piecewise(np.array(breakpoints), pieces)
+    with pytest.raises(ValueError):
+        Piecewise(np.array([[0.0, 1.0], [2.0, 3.0]]), (p,))  # not 1-D
