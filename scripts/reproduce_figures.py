@@ -17,8 +17,11 @@ def main() -> int:
     out = args.out or bench.default_output_dir()
 
     print(f"{'figure':>6}  {'method':<28} {'max_abs':>12} {'rms':>12} {'endpoint':>12}")
+    column_text = {}  # CSV column text shared by every figure of this run
     for fid in bench.SUPPORTED_FIGURES:
-        bundle = bench.run_figure(fid, grid_size=args.grid_size, output_dir=out, emit_svg_file=True)
+        bundle = bench.run_figure(
+            fid, grid_size=args.grid_size, output_dir=out, emit_svg_file=True, column_text=column_text
+        )
         for r in bundle.reports:
             print(f"{fid:>6}  {r.method:<28} {r.max_abs:>12.5g} {r.rms:>12.5g} {r.endpoint_max_abs:>12.5g}")
     print(f"\nwrote CSV/SVG files to {out}/")

@@ -329,9 +329,11 @@ def run_figure(
     n_samples: int | None = None,
     output_dir: str | None = None,
     emit_svg_file: bool = False,
+    column_text: dict | None = None,
 ) -> ReportBundle:
     """Reproduce one of the paper-style figures as curves plus error reports;
-    `n_samples` resizes every fit of a resizable figure."""
+    `n_samples` resizes every fit of a resizable figure. `column_text` is
+    passed on to emit_csv, so one command can format each column once."""
     if figure_id not in SUPPORTED_FIGURES:
         raise UsageError(_figure_error(figure_id))
     figure = FIGURES[figure_id]
@@ -342,7 +344,7 @@ def run_figure(
         fits = tuple(dataclasses.replace(spec, n_samples=n_samples) for spec in figure.fits)
         figure = dataclasses.replace(figure, fits=fits)
     bundle = _bundle(figure, RUNGE, Interval(), grid_size)
-    _maybe_write(bundle, output_dir, emit_svg_file, name=f"figure{figure_id}")
+    _maybe_write(bundle, output_dir, emit_svg_file, name=f"figure{figure_id}", column_text=column_text)
     return bundle
 
 
@@ -369,11 +371,13 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise OSError(f"failed writing {path}: {exc}") from exc
 
 
-def _maybe_write(bundle: ReportBundle, output_dir: str | None, svg: bool, name: str) -> None:
+def _maybe_write(
+    bundle: ReportBundle, output_dir: str | None, svg: bool, name: str, column_text: dict | None = None
+) -> None:
     if output_dir is None:
         return
     out = Path(output_dir)
-    emit_csv(bundle, out / f"{name}.csv")
+    emit_csv(bundle, out / f"{name}.csv", column_text=column_text)
     if svg:
         emit_svg(bundle, out / f"{name}.svg")
 
@@ -388,21 +392,36 @@ def _write_csv(path: Path, rows, body: str = "") -> None:
     _atomic_write(path, buf.getvalue().encode("utf-8"))
 
 
-def emit_csv(bundle: ReportBundle, path) -> None:
+def _format_column(col: np.ndarray) -> list[str]:
+    """The shortest round-trip repr of each value of a float64 column."""
+    return list(map(repr, col.tolist()))
+
+
+def emit_csv(bundle: ReportBundle, path, *, column_text: dict | None = None) -> None:
     """Curve table `x,<label>,...` with shortest round-trip decimals, plus a
     sibling `<path>.report.csv` carrying the error reports.
 
-    One pass: the table is one `column_stack` of the grid and every curve,
-    converted to Python floats at once, and each row is its cells' `repr`
-    joined by commas; only the header and the report rows go through
-    csv.writer. Cost is one repr per cell and one join per row."""
+    The table is formatted column by column: the grid and each curve, as
+    float64 (an integer-dtype curve is written as 2.0, not 2), are looked up
+    in `column_text` by their bytes, so 0.0 and -0.0 keep their own text, and
+    only a column not found there is formatted. A caller that writes several
+    files passes one dict to all of them and drops it when done; by default
+    each call has its own. Each row is its cells joined by commas; only the
+    header and the report rows go through csv.writer. Cost is one repr per
+    value of each distinct column per dict, and one join per row."""
     path = Path(path)
     xs = bundle.curves[0].xs if bundle.curves else np.empty(0)
     if any(not np.array_equal(c.xs, xs) for c in bundle.curves[1:]):
         raise ValueError("emit_csv requires all curves on a shared grid")
-    # astype(float): an integer-dtype curve is written as 2.0, not 2
-    table = np.column_stack([xs, *(c.ys for c in bundle.curves)]).astype(float).tolist()
-    body = "".join(",".join(map(repr, row)) + "\n" for row in table)
+    column_text = {} if column_text is None else column_text
+    cols = []
+    for col in (xs, *(c.ys for c in bundle.curves)):
+        col = np.asarray(col, dtype=float)
+        key = col.tobytes()
+        if key not in column_text:
+            column_text[key] = _format_column(col)
+        cols.append(column_text[key])
+    body = "".join(row + "\n" for row in map(",".join, zip(*cols)))
     _write_csv(path, [["x", *(c.label for c in bundle.curves)]], body)
     header = [f.name for f in dataclasses.fields(ErrorReport)]
     reports = map(dataclasses.astuple, bundle.reports)
@@ -429,8 +448,9 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 20, 20, 40
 
 
 def _padded(v: np.ndarray) -> tuple[float, float]:
-    """(min, max) of v widened by 5% of its range a side, or by 1 if v is constant."""
-    lo, hi = float(v.min()), float(v.max())
+    """(min, max) of v widened by 5% of its range a side, or by 1 if v is
+    constant; an empty v reads as the constant 0."""
+    lo, hi = (float(v.min()), float(v.max())) if v.size else (0.0, 0.0)
     pad = 1.0 if hi == lo else 0.05 * (hi - lo)
     return lo - pad, hi + pad
 
@@ -438,7 +458,8 @@ def _padded(v: np.ndarray) -> tuple[float, float]:
 def emit_svg(bundle: ReportBundle, path) -> None:
     """Standalone SVG 1.1, 800x500, axes auto-scaled with 5% padding, one
     polyline per curve, legend, circle markers for sample nodes. Byte output is
-    deterministic for identical input.
+    deterministic for identical input. A point with a non-finite coordinate is
+    left out of its polyline or marker set and of the axis ranges.
 
     One pass per curve and marker set: its points are scaled to the view by
     one numpy expression and written by one %-format of the whole polyline or
@@ -447,8 +468,11 @@ def emit_svg(bundle: ReportBundle, path) -> None:
     if not bundle.curves:
         raise ValueError("emit_svg needs at least one curve")
     series = [*bundle.curves, *bundle.node_markers]
-    x_lo, x_hi = _padded(np.concatenate([s.xs for s in series]))
-    y_lo, y_hi = _padded(np.concatenate([s.ys for s in series]))
+    xys = [np.column_stack([s.xs, s.ys]) for s in series]
+    xys = [xy[np.isfinite(xy).all(axis=1)] for xy in xys]
+    finite = np.concatenate(xys)
+    x_lo, x_hi = _padded(finite[:, 0])
+    y_lo, y_hi = _padded(finite[:, 1])
     plot_w = _VIEW_W - _MARGIN_L - _MARGIN_R
     plot_h = _VIEW_H - _MARGIN_T - _MARGIN_B
     # x maps [x_lo, x_hi] onto [0, plot_w] and y maps [y_hi, y_lo] onto [0, plot_h]:
@@ -469,9 +493,8 @@ def emit_svg(bundle: ReportBundle, path) -> None:
     ]
     legend = []
     lx = _VIEW_W - _MARGIN_R - 220  # legend, top-right inside the plot area
-    for i, s in enumerate(series):
+    for i, (s, xy) in enumerate(zip(series, xys)):
         color, ly = _PALETTE[i % len(_PALETTE)], _MARGIN_T + 14 + 16 * i
-        xy = np.column_stack([s.xs, s.ys])
         pts = tuple(((_MARGIN_L, _MARGIN_T) + (xy - origin) / span * (plot_w, plot_h)).ravel().tolist())
         if i < len(bundle.curves):
             dash = _DASHES[i % len(_DASHES)]

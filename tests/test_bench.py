@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -287,6 +290,76 @@ def test_csv_round_trip_exact(tmp_path):
     assert np.array_equal(curves[1].ys, ys2)
 
 
+def _old_csv_body(curves) -> str:
+    """The curve table as emit_csv wrote it when it formatted cell by cell."""
+    xs = curves[0].xs if curves else np.empty(0)  # a bundle without curves has no grid to write
+    rows = np.column_stack([xs, *(c.ys for c in curves)]).astype(float).tolist()
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, 1e16, -1e16, 1e-5, 0.1, -2.5]
+# NaN only as numpy's own: CSV text "nan" reads back as it, whatever the sign or payload written
+_floats = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=False))
+
+
+@st.composite
+def _tables(draw):
+    """A grid and curves of one length, some curves repeated, some integer-dtype,
+    some holding NaN; the grid holds no NaN, which emit_csv's shared-grid check refuses."""
+    n = draw(st.integers(0, 6))
+    floats = st.lists(_floats, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=float))
+    with_nan = st.lists(st.one_of(_floats, st.just(np.nan)), min_size=n, max_size=n).map(np.array)
+    ints = st.lists(st.integers(-(2**53), 2**53), min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64))
+    distinct = draw(st.lists(st.one_of(floats, with_nan, ints), min_size=1, max_size=4))
+    return draw(st.one_of(floats, ints)), draw(st.lists(st.sampled_from(distinct), max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(first=_tables(), second=_tables())
+def test_emit_csv_matches_cell_by_cell_formatting(tmp_path_factory, first, second):
+    tmp = tmp_path_factory.mktemp("csv")
+    column_text = {}
+    for name, (xs, ys) in (("a", first), ("b", second), ("a", first)):
+        curves = [Curve(f"c{i}", xs, y) for i, y in enumerate(ys)]
+        path = tmp / f"{name}.csv"
+        emit_csv(_tiny_bundle(curves), path, column_text=column_text)
+        header, body = path.read_text().split("\n", 1)
+        assert header == ",".join(["x", *(c.label for c in curves)])
+        assert body == _old_csv_body(curves)
+        back = read_curve_csv(path)
+        for want, got in zip(ys, back):
+            assert got.ys.tobytes() == np.asarray(want, dtype=float).tobytes()
+        if back:
+            assert back[0].xs.tobytes() == np.asarray(xs, dtype=float).tobytes()
+
+
+def test_emit_csv_keeps_the_sign_of_zero_in_a_shared_dict(tmp_path):
+    column_text = {}
+    for name, zero in (("pos", 0.0), ("neg", -0.0)):
+        xs = np.full(3, zero)
+        emit_csv(_tiny_bundle([Curve("z", xs, xs)]), tmp_path / f"{name}.csv", column_text=column_text)
+    assert (tmp_path / "pos.csv").read_text() == "x,z\n" + "0.0,0.0\n" * 3
+    assert (tmp_path / "neg.csv").read_text() == "x,z\n" + "-0.0,-0.0\n" * 3
+    assert len(column_text) == 2
+
+
+def test_emit_csv_formats_a_repeated_column_once(tmp_path, monkeypatch):
+    formatted = []
+    real = bench._format_column
+    monkeypatch.setattr(bench, "_format_column", lambda col: formatted.append(col) or real(col))
+    xs = np.linspace(-1, 1, 5)
+    bundle = _tiny_bundle([Curve(f"c{i}", xs, xs**2) for i in range(4)])
+    emit_csv(bundle, tmp_path / "a.csv")
+    assert len(formatted) == 2  # the grid and one curve, by default within one call
+    emit_csv(bundle, tmp_path / "b.csv")
+    assert len(formatted) == 4  # a call without a dict starts from nothing
+    column_text = {}
+    emit_csv(bundle, tmp_path / "c.csv", column_text=column_text)
+    emit_csv(bundle, tmp_path / "d.csv", column_text=column_text)
+    assert len(formatted) == 6
+    assert len({(tmp_path / f"{n}.csv").read_bytes() for n in "abcd"}) == 1
+
+
 def test_emit_svg_deterministic(tmp_path):
     xs = np.linspace(-1, 1, 50)
     bundle = _tiny_bundle(
@@ -308,6 +381,41 @@ def test_emit_svg_flat_curve_padding(tmp_path):
     path = tmp_path / "flat.svg"
     emit_svg(bundle, path)  # must not divide by zero
     assert "3.00" in path.read_text()  # padded y max label
+
+
+def test_emit_svg_leaves_non_finite_points_out(tmp_path):
+    xs = np.linspace(0.0, 1.0, 5)
+    bundle = _tiny_bundle(
+        [
+            Curve("truth", xs, xs),
+            Curve("blown up", xs, np.array([np.inf, 0.5, np.nan, -np.inf, 2.0])),
+        ],
+        markers=[Curve("nodes", np.array([0.0, np.nan, 1.0]), np.array([0.0, 1.0, -np.inf]))],
+    )
+    path = tmp_path / "nf.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        emit_svg(bundle, path)
+    text = path.read_text()
+    assert "nan" not in text and "inf" not in text
+    # the axes span the finite values alone: x in [0, 1], y in [0, 2]
+    labels = re.findall(r">(-?\d+\.\d\d)</text>", text)
+    assert labels == ["-0.05", "1.05", "2.10", "-0.10"]
+    polylines = re.findall(r'<polyline [^>]* points="([^"]*)"', text)
+    assert [len(p.split()) for p in polylines] == [5, 2]
+    assert text.count('r="3" fill="#1f77b4" stroke="none"') == 1  # the one finite node
+
+
+def test_emit_svg_with_no_finite_point(tmp_path):
+    xs = np.linspace(0.0, 1.0, 3)
+    bundle = _tiny_bundle([Curve("nan", xs, np.full(3, np.nan))])
+    path = tmp_path / "none.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        emit_svg(bundle, path)
+    text = path.read_text()
+    assert re.findall(r">(-?\d+\.\d\d)</text>", text) == ["-1.00", "1.00", "1.00", "-1.00"]
+    assert re.findall(r'<polyline [^>]* points="([^"]*)"', text) == [""]
 
 
 def test_emit_svg_needs_curves():

@@ -1,7 +1,13 @@
 import csv
+import gc
+import re
+import warnings
+import weakref
 
+import numpy as np
 import pytest
 
+from runge_lab import bench
 from runge_lab.cli import main
 
 
@@ -157,3 +163,47 @@ def test_cli_list_methods(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "lagrange" in out and "figure 10" in out
+
+
+class _ColumnText(list):
+    """A list that can be watched by a weak reference."""
+
+
+def test_cli_figure_all_formats_each_distinct_column_once_per_command(tmp_path, monkeypatch, capsys):
+    real = bench._format_column
+    alive = []
+
+    def spy(col):
+        text = _ColumnText(real(col))
+        alive.append(weakref.ref(text))
+        return text
+
+    monkeypatch.setattr(bench, "_format_column", spy)
+    counts = []
+    for run in ("a", "b"):
+        assert main(["--out", str(tmp_path / run), "figure", "all"]) == 0
+        counts.append(len(alive))
+        gc.collect()
+        assert all(ref() is None for ref in alive)  # nothing holds column text once the command returns
+    capsys.readouterr()
+    assert counts[1] == 2 * counts[0]  # the second command formats as much as the first
+    columns = set()
+    for path in sorted((tmp_path / "a").glob("figure*[0-9].csv")):
+        curves = bench.read_curve_csv(path)
+        columns.update(c.ys.tobytes() for c in curves)
+        columns.add(curves[0].xs.tobytes())
+    assert counts[0] == len(columns)  # one format per distinct column of all the figures
+
+
+def test_cli_run_svg_of_a_blown_up_fit_is_finite(tmp_path, capsys):
+    # equispaced Lagrange at n = 201 overflows: its curve holds inf and nan
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--out", str(tmp_path), "--svg", "run", "--method", "lagrange", "--n-samples", "201"]) == 0
+    assert not [w for w in caught if w.filename == bench.__file__]
+    text = (tmp_path / "lagrange.svg").read_text()
+    assert "nan" not in text and "inf" not in text
+    curves = bench.read_curve_csv(tmp_path / "lagrange.csv")
+    assert not np.isfinite(curves[1].ys).all()
+    polylines = re.findall(r'<polyline [^>]* points="([^"]*)"', text)
+    assert [len(p.split()) for p in polylines] == [np.isfinite(c.ys).sum() for c in curves]

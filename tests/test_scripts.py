@@ -32,3 +32,18 @@ def test_reproduce_figures_writes_every_figure(tmp_path, monkeypatch, capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     fits = sum(len(bench.FIGURES[fid].fits) for fid in bench.SUPPORTED_FIGURES)
     assert sum(1 for row in rows if row and row[0].isdigit()) == fits  # one table row per fit
+
+
+def test_reproduce_figures_writes_what_figure_all_writes(tmp_path, monkeypatch, capsys):
+    from runge_lab.cli import main
+
+    script, cli = tmp_path / "script", tmp_path / "cli"
+    monkeypatch.setattr(sys, "argv", ["reproduce_figures.py", "--out", str(script)])
+    assert _load("reproduce_figures").main() == 0
+    assert main(["--out", str(cli), "--svg", "figure", "all"]) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in script.iterdir())
+    assert names == sorted(p.name for p in cli.iterdir())
+    assert len(names) == 36  # CSV, report CSV and SVG of each of the 12 figures
+    for name in names:
+        assert (script / name).read_bytes() == (cli / name).read_bytes(), name
