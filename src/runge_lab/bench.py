@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import enum
 import io
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ import numpy as np
 from . import interpolants, metrics, nodes
 from .core import Basis, Interval, NodeFamily, RUNGE, TargetFunction
 from .interpolants import BandStrategy, EfciConfig, PenaltyKind, TikhonovOperator, TisiConfig
-from .metrics import DEFAULT_GRID_SIZE, ErrorReport, error_report
+from .metrics import DEFAULT_GRID_SIZE, ErrorReport
 
 UNSUPPORTED_FIGURE_NOTE = {10: "not reproducible - undefined in source"}
 SVD_THRESHOLDS = (1e-2, 1e-5, 1e-10, 1e-15)
@@ -296,13 +297,20 @@ def _fit(spec: FitSpec, f: TargetFunction, interval: Interval):
 
 
 def _bundle(figure: FigureSpec, f: TargetFunction, interval: Interval, grid_size: int) -> ReportBundle:
-    """Truth + one curve and error report per fit, and the figure's markers."""
+    """Truth + one curve and error report per fit, and the figure's markers.
+
+    The target is called on the grid once per figure and each fit evaluated
+    on it once; metrics.grid_report scores each curve against the truth as
+    metrics.error_report would. Cost is one target call and one evaluate per
+    fit on the grid, beyond the fits themselves."""
     xs = np.linspace(interval.lo, interval.hi, grid_size)
-    curves, reports, points = [Curve(f.name, xs, f(xs))], [], {}
+    truth = f(xs)
+    curves, reports, points = [Curve(f.name, xs, truth)], [], {}
     for spec in figure.fits:
         approx, points[spec.label] = _fit(spec, f, interval)
-        curves.append(Curve(spec.label, xs, approx.evaluate(xs)))
-        reports.append(error_report(approx, f, interval, grid_size, method=spec.label))
+        ys = approx.evaluate(xs)
+        curves.append(Curve(spec.label, xs, ys))
+        reports.append(metrics.grid_report(xs, truth, ys, interval, approx.n_params, spec.label))
     markers = [
         Curve(legend, *points[label][name]) for legend, label, name in figure.markers if name in points[label]
     ]
@@ -411,7 +419,7 @@ def emit_csv(bundle: ReportBundle, path, *, column_text: dict | None = None) -> 
     value of each distinct column per dict, and one join per row."""
     path = Path(path)
     xs = bundle.curves[0].xs if bundle.curves else np.empty(0)
-    if any(not np.array_equal(c.xs, xs) for c in bundle.curves[1:]):
+    if any(c.xs is not xs and not np.array_equal(c.xs, xs, equal_nan=True) for c in bundle.curves[1:]):
         raise ValueError("emit_csv requires all curves on a shared grid")
     column_text = {} if column_text is None else column_text
     cols = []
@@ -447,37 +455,64 @@ _VIEW_W, _VIEW_H = 800, 500
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 20, 20, 40
 
 
-def _padded(v: np.ndarray) -> tuple[float, float]:
-    """(min, max) of v widened by 5% of its range a side, or by 1 if v is
-    constant; an empty v reads as the constant 0."""
+def _padded(v: np.ndarray) -> tuple[float, float, float]:
+    """(min, max) of v widened by 5% of its range a side, or if v is constant
+    by 1, or by 5% of its size where rounding would lose the 1 (an empty v
+    reads as the constant 0), and the factor they are shrunk by: 1, or 4 when
+    the padded range overflows the float range, so that both bounds and their
+    span stay finite. Shrinking by a power of two rounds nothing that is not
+    subnormal."""
     lo, hi = (float(v.min()), float(v.max())) if v.size else (0.0, 0.0)
-    pad = 1.0 if hi == lo else 0.05 * (hi - lo)
-    return lo - pad, hi + pad
+    if hi > lo:
+        pad = 0.05 * (hi - lo)
+    else:
+        pad = 1.0 if lo - 1.0 < lo + 1.0 else 0.05 * abs(lo)
+    if math.isfinite(hi + pad - (lo - pad)):
+        return lo - pad, hi + pad, 1.0
+    if not math.isfinite(pad):
+        pad = 0.05 * hi - 0.05 * lo
+    return lo / 4 - pad / 4, hi / 4 + pad / 4, 4.0
+
+
+def _tick(bound: float, shrink: float) -> str:
+    """The axis label of a bound that _padded shrank by `shrink`: %.2f of the
+    unshrunk value, written exactly even where it overflows the float range
+    (a shrunk bound is then a whole number)."""
+    return f"{bound:.2f}" if shrink == 1.0 else f"{int(bound) * int(shrink)}.00"
 
 
 def emit_svg(bundle: ReportBundle, path) -> None:
     """Standalone SVG 1.1, 800x500, axes auto-scaled with 5% padding, one
     polyline per curve, legend, circle markers for sample nodes. Byte output is
-    deterministic for identical input. A point with a non-finite coordinate is
-    left out of its polyline or marker set and of the axis ranges.
+    deterministic for identical input. Points are taken as float64, as emit_csv
+    writes them. A point with a non-finite coordinate is left out of its
+    polyline or marker set and of the axis ranges.
 
-    One pass per curve and marker set: its points are scaled to the view by
-    one numpy expression and written by one %-format of the whole polyline or
-    circle set, together with its legend entry. Cost is one float format per
-    coordinate."""
+    Every finite point of every curve and marker set is mapped to the view by
+    one numpy expression and one tolist; each polyline or circle set is then
+    written by one %-format, and a curve whose points repeat an earlier
+    curve's within the call reuses that polyline's text. Cost is one float
+    format per coordinate of each distinct curve and of each marker set."""
     if not bundle.curves:
         raise ValueError("emit_svg needs at least one curve")
     series = [*bundle.curves, *bundle.node_markers]
-    xys = [np.column_stack([s.xs, s.ys]) for s in series]
-    xys = [xy[np.isfinite(xy).all(axis=1)] for xy in xys]
-    finite = np.concatenate(xys)
-    x_lo, x_hi = _padded(finite[:, 0])
-    y_lo, y_hi = _padded(finite[:, 1])
+    xy = np.empty((sum(len(s.xs) for s in series), 2))
+    xy[:, 0] = np.concatenate([s.xs for s in series])
+    xy[:, 1] = np.concatenate([s.ys for s in series])
+    keep = np.isfinite(xy).all(axis=1)
+    # series i owns rows starts[i]:starts[i + 1] of the finite points
+    starts = np.concatenate([[0], np.cumsum(keep)])[np.cumsum([0, *(len(s.xs) for s in series)])].tolist()
+    finite = xy[keep]
+    x_lo, x_hi, x_shrink = _padded(finite[:, 0])
+    y_lo, y_hi, y_shrink = _padded(finite[:, 1])
     plot_w = _VIEW_W - _MARGIN_L - _MARGIN_R
     plot_h = _VIEW_H - _MARGIN_T - _MARGIN_B
     # x maps [x_lo, x_hi] onto [0, plot_w] and y maps [y_hi, y_lo] onto [0, plot_h]:
     # (y - y_hi) / (y_lo - y_hi) negates both terms of (y_hi - y) / (y_hi - y_lo), exactly.
+    # Dividing by a shrink of 1 leaves every coordinate as it was.
     origin, span = np.array([x_lo, y_hi]), np.array([x_hi - x_lo, y_lo - y_hi])
+    view = (_MARGIN_L, _MARGIN_T) + (finite / (x_shrink, y_shrink) - origin) / span * (plot_w, plot_h)
+    coords = view.ravel().tolist()
 
     shapes = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -485,23 +520,29 @@ def emit_svg(bundle: ReportBundle, path) -> None:
         f'viewBox="0 0 {_VIEW_W} {_VIEW_H}">\n',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="white" stroke="#333333" stroke-width="1"/>\n',
-        f'<text x="{_MARGIN_L}" y="{_VIEW_H - 10}" font-size="12" font-family="monospace">{x_lo:.2f}</text>\n',
+        f'<text x="{_MARGIN_L}" y="{_VIEW_H - 10}" font-size="12" font-family="monospace">'
+        f"{_tick(x_lo, x_shrink)}</text>\n",
         f'<text x="{_VIEW_W - _MARGIN_R - 40}" y="{_VIEW_H - 10}" font-size="12" '
-        f'font-family="monospace">{x_hi:.2f}</text>\n',
-        f'<text x="5" y="{_MARGIN_T + 12}" font-size="12" font-family="monospace">{y_hi:.2f}</text>\n',
-        f'<text x="5" y="{_VIEW_H - _MARGIN_B}" font-size="12" font-family="monospace">{y_lo:.2f}</text>\n',
+        f'font-family="monospace">{_tick(x_hi, x_shrink)}</text>\n',
+        f'<text x="5" y="{_MARGIN_T + 12}" font-size="12" font-family="monospace">{_tick(y_hi, y_shrink)}</text>\n',
+        f'<text x="5" y="{_VIEW_H - _MARGIN_B}" font-size="12" font-family="monospace">'
+        f"{_tick(y_lo, y_shrink)}</text>\n",
     ]
     legend = []
+    polyline_points = {}  # the finite points of a curve, as bytes -> its points attribute
     lx = _VIEW_W - _MARGIN_R - 220  # legend, top-right inside the plot area
-    for i, (s, xy) in enumerate(zip(series, xys)):
+    for i, s in enumerate(series):
         color, ly = _PALETTE[i % len(_PALETTE)], _MARGIN_T + 14 + 16 * i
-        pts = tuple(((_MARGIN_L, _MARGIN_T) + (xy - origin) / span * (plot_w, plot_h)).ravel().tolist())
+        lo, hi = starts[i], starts[i + 1]
         if i < len(bundle.curves):
             dash = _DASHES[i % len(_DASHES)]
             dash_attr = "" if dash == "none" else f' stroke-dasharray="{dash}"'
-            points = " ".join(["%.2f,%.2f"] * len(xy)) % pts
+            key = finite[lo:hi].tobytes()
+            if key not in polyline_points:
+                polyline_points[key] = " ".join(["%.2f,%.2f"] * (hi - lo)) % tuple(coords[2 * lo : 2 * hi])
             shapes.append(
-                f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash_attr} points="{points}"/>\n'
+                f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash_attr} '
+                f'points="{polyline_points[key]}"/>\n'
             )
             legend.append(
                 f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 30}" y2="{ly - 4}" stroke="{color}" '
@@ -509,7 +550,7 @@ def emit_svg(bundle: ReportBundle, path) -> None:
             )
         else:
             circle = f'<circle cx="%.2f" cy="%.2f" r="3" fill="{color}" stroke="none"/>\n'
-            shapes.append(circle * len(xy) % pts)
+            shapes.append(circle * (hi - lo) % tuple(coords[2 * lo : 2 * hi]))
             legend.append(f'<circle cx="{lx + 15}" cy="{ly - 4}" r="3" fill="{color}"/>\n')
         label = s.label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         legend.append(f'<text x="{lx + 36}" y="{ly}" font-size="12" font-family="monospace">{label}</text>\n')

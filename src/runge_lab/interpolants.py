@@ -317,9 +317,11 @@ class TisiConfig:
 def _band_nodes(band: Interval, strategy: BandStrategy, n: int) -> NodeSet:
     if strategy is BandStrategy.LAGRANGE_CHEB:
         # Chebyshev clustering inside the band, with both band endpoints forced
-        # in so adjacent pieces share a node and the join stays continuous.
+        # in so adjacent pieces share a node and the join stays continuous. The
+        # roots lie strictly inside the band in increasing order, as NodeSet
+        # checks; no np.unique, whose first call imports numpy.ma.
         interior = chebyshev_roots(max(n - 3, 0), band).xs if n >= 3 else np.array([])
-        xs = np.unique(np.concatenate([[band.lo], interior, [band.hi]]))
+        xs = np.concatenate([[band.lo], interior, [band.hi]])
         return NodeSet(band, xs)
     return equispaced(n, band)
 

@@ -39,17 +39,31 @@ def error_report(
     method: str = "",
 ) -> ErrorReport:
     """Sup/RMS error of the approximant against f on an equispaced grid, with
-    the max location and the max over the outer 10% bands at each endpoint."""
+    the max location and the max over the outer 10% bands at each endpoint.
+    Cost is one call of f and one evaluate of the approximant on the grid,
+    then grid_report's vector passes."""
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     xs = np.linspace(interval.lo, interval.hi, grid_size)
-    err = np.abs(f(xs) - approx.evaluate(xs))
+    return grid_report(xs, f(xs), approx.evaluate(xs), interval, approx.n_params, method)
+
+
+def grid_report(
+    xs: np.ndarray, truth: np.ndarray, values: np.ndarray, interval: Interval, n_params: int, method: str = ""
+) -> ErrorReport:
+    """error_report's figures for `values` against `truth`, both taken on the
+    equispaced grid `xs` over `interval`, so a caller that already holds them
+    scores a fit without evaluating it or the target again. Cost is a few
+    vector passes over the grid and no call of either."""
+    if len(xs) < 2:
+        raise ValueError("grid_size must be >= 2")
+    err = np.abs(truth - values)
     i_max = int(np.argmax(err))
     band = 0.1 * interval.width
     edge = (xs <= interval.lo + band) | (xs >= interval.hi - band)
     return ErrorReport(
         method=method,
-        n_params=approx.n_params,
+        n_params=n_params,
         max_abs=float(err[i_max]),
         rms=float(np.sqrt(np.mean(err**2))),
         argmax_x=float(xs[i_max]),

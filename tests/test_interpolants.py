@@ -1,4 +1,8 @@
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -455,6 +459,22 @@ def test_tisi_config_takes_band_strategy_values():
     assert np.array_equal(got, tisi_fit(RUNGE, Interval(), by_member).evaluate(GRID))
     with pytest.raises(ValueError):
         TisiConfig(center="bogus")
+
+
+def test_tisi_fit_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, which every fresh `figure all` would pay for
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    probe = "import sys, numpy; sys.exit('numpy.ma' in sys.modules)"
+    if subprocess.run([sys.executable, "-c", probe], env=env).returncode:
+        pytest.skip("import numpy already loads numpy.ma")
+    code = """if True:
+        import sys
+        from runge_lab import RUNGE, Interval, interpolants
+        for center in interpolants.BandStrategy:
+            interpolants.tisi_fit(RUNGE, Interval(), interpolants.TisiConfig(center=center))
+        sys.exit('numpy.ma' in sys.modules)
+    """
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_tisi_config_validation():
