@@ -20,6 +20,11 @@ from numpy.polynomial import legendre as _leg
 from numpy.polynomial import polynomial as _poly
 
 
+class NumericError(RuntimeError):
+    """Numerical failure: singular system, non-convergence, full truncation,
+    barycentric weights outside the float range."""
+
+
 class NodeFamily(enum.Enum):
     EQUISPACED = "equispaced"
     CHEBYSHEV_ROOTS = "chebyshev_roots"
@@ -242,40 +247,47 @@ def _blockwise(points: np.ndarray, nodes: np.ndarray, finish) -> None:
     the starts no worker has claimed yet, one at a time, so a worker slowed by
     another thread on its CPU takes fewer blocks instead of holding up the
     call. A helper runs under the caller's float-error settings (numpy keeps
-    them per thread or per context, and neither reaches a new thread). Every
-    helper that started is joined before this returns or raises; the caller's
-    own exception wins, else the first helper's re-raises here. The blocks
-    only call numpy ufuncs and BLAS, which release the GIL, so the workers run
-    in parallel.
+    them per thread or per context, and neither reaches a new thread). The
+    blocks only call numpy ufuncs and BLAS, which release the GIL, so the
+    workers run in parallel.
+
+    Once a block raises, on a helper or on the caller, no worker claims
+    another block: the blocks already claimed run to their end, every helper
+    that started is joined, and the exception of the lowest block that raised
+    re-raises here. Blocks are claimed in order, so that block always runs,
+    and which error a call raises does not depend on the number of workers or
+    on their timing. A helper that fails to start stops the call the same
+    way, and its error wins.
     """
     m, n = len(points), len(nodes)
     block = max(1, _EVAL_BLOCK // n)
     starts = range(0, m, block)
     unclaimed, lock = iter(starts), threading.Lock()
     saved = {**np.geterr(), "call": np.geterrcall()}
-    errors = []
+    failed = []  # (start, exception) per raise; a start of -1 is no block's
 
     def claim():
         with lock:
-            return next(unclaimed, None)
+            return None if failed else next(unclaimed, None)
 
     def run():
-        buf = np.empty((min(block, m), n))
-        for start in iter(claim, None):
-            diffs = buf[: min(block, m - start)]
-            old = np.setbufsize(16)
-            try:
-                np.subtract(points[start : start + block, None], nodes, out=diffs)
-            finally:
-                np.setbufsize(old)
-            finish(start, diffs)
+        start = -1
+        try:
+            buf = np.empty((min(block, m), n))
+            for start in iter(claim, None):
+                diffs = buf[: min(block, m - start)]
+                old = np.setbufsize(16)
+                try:
+                    np.subtract(points[start : start + block, None], nodes, out=diffs)
+                finally:
+                    np.setbufsize(old)
+                finish(start, diffs)
+        except BaseException as e:
+            failed.append((start, e))
 
     def helper():
-        try:
-            with np.errstate(**saved):
-                run()
-        except BaseException as e:
-            errors.append(e)
+        with np.errstate(**saved):
+            run()
 
     started = []
     try:
@@ -284,11 +296,16 @@ def _blockwise(points: np.ndarray, nodes: np.ndarray, finish) -> None:
             t.start()
             started.append(t)
         run()
+    except BaseException as e:  # a helper that did not start; run() keeps its own
+        failed.append((-1, e))
     finally:
         for t in started:
             t.join()
-    if errors:
-        raise errors[0]
+    if failed:
+        try:
+            raise min(failed, key=lambda f: f[0])[1]
+        finally:
+            failed.clear()  # no cycle through this frame keeps the blocks' buffers alive
 
 
 def barycentric_weights(xs: np.ndarray) -> np.ndarray:
@@ -297,23 +314,41 @@ def barycentric_weights(xs: np.ndarray) -> np.ndarray:
 
     O(n^2) arithmetic, in the row blocks of :func:`_blockwise`. Each row's
     product is taken in the same order as over the whole matrix, so the
-    weights do not depend on the block size or on the number of workers. The
-    products leave the float range for large n. It is the fallback of
-    :meth:`Barycentric.fit` for node sets without a closed form: equispaced,
-    custom and mock-Chebyshev subset nodes.
+    weights do not depend on the block size or on the number of workers.
+
+    The products leave the float range for large n: equispaced sets from
+    1116 nodes on give zero weights. Each block checks the weights it
+    wrote, and the first block holding one that is zero, subnormal, ±inf or
+    NaN raises :class:`NumericError` naming n, its failing rows and the range
+    of representable magnitudes; no block starts after it. That error is the
+    only signal: the products and reciprocals raise no numpy float warning.
+    It is the fallback of :meth:`Barycentric.fit` for node sets without a
+    closed form: equispaced, custom and mock-Chebyshev subset nodes.
     """
     xs = np.asarray(xs, dtype=float)
     n = len(xs)
     if n < 2:
         raise ValueError("barycentric weights need at least two nodes")
     cap = (xs[-1] - xs[0]) / 4.0
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
     w = np.empty(n)
 
     def finish(start, diffs):
-        np.divide(diffs, cap, out=diffs)
-        rows = np.arange(len(diffs))
-        diffs[rows, start + rows] = 1.0
-        np.divide(1.0, np.prod(diffs, axis=1), out=w[start : start + len(diffs)])
+        stop = start + len(diffs)
+        with np.errstate(all="ignore"):  # an out-of-range weight raises below instead
+            np.divide(diffs, cap, out=diffs)
+            rows = np.arange(len(diffs))
+            diffs[rows, start + rows] = 1.0
+            np.divide(1.0, np.prod(diffs, axis=1), out=w[start:stop])
+        mag = np.abs(w[start:stop])
+        bad = np.flatnonzero(~((mag >= tiny) & (mag <= huge)))  # NaN fails both
+        if len(bad):
+            bad = (start + bad).tolist()
+            listed = ", ".join(map(str, bad[:3])) + (", ..." if len(bad) > 3 else "")
+            raise NumericError(
+                f"product-form barycentric weights of {n} nodes leave the float range in {len(bad)} row(s) "
+                f"({listed}): |w| must lie in [{tiny:.4g}, {huge:.4g}]"
+            )
 
     _blockwise(xs, xs, finish)
     return w
@@ -365,13 +400,15 @@ class Barycentric(Approximant):
         object.__setattr__(self, "weights", _frozen_array(self.weights))
         if len(self.ys) != len(self.nodes) or len(self.weights) != len(self.nodes):
             raise ValueError("ys and weights must match node count")
-        if np.any(self.weights == 0.0):
-            raise ValueError("barycentric weights must be nonzero")
+        if not np.all(np.isfinite(self.weights) & (self.weights != 0.0)):
+            raise ValueError("barycentric weights must be finite and nonzero")
 
     @classmethod
     def fit(cls, samples: SampleSet) -> "Barycentric":
         """Interpolant through the samples, with the closed-form weights of
-        the node family where it has one, else the product form."""
+        the node family where it has one, else the product form, which raises
+        :class:`NumericError` once its weights leave the float range (see
+        :func:`barycentric_weights`)."""
         if len(samples) < 2:
             raise ValueError("need at least two samples to interpolate")
         closed_form = _CLOSED_FORM_WEIGHTS.get(samples.nodes.family)

@@ -15,11 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Basis, NodeSet
-
-
-class NumericError(RuntimeError):
-    """Numerical failure: singular system, non-convergence, full truncation."""
+from .core import Basis, NodeSet, NumericError
 
 
 def design_matrix(nodes: NodeSet, degree: int, basis: Basis = Basis.MONOMIAL) -> np.ndarray:

@@ -158,6 +158,25 @@ def test_cli_sweep(tmp_path, capsys):
     assert (tmp_path / "sweep_lagrange.csv").exists()
 
 
+def test_cli_run_lagrange_with_weights_out_of_range_exits_1(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--out", str(tmp_path), "run", "--method", "lagrange", "--n-samples", "3000"]) == 1
+    assert not caught  # the NumericError alone, with no float warning before it
+    err = capsys.readouterr().err
+    assert err.startswith("error: product-form barycentric weights of 3000 nodes leave the float range")
+
+
+def test_cli_sweep_records_weights_out_of_range_and_keeps_the_other_rows(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "sweep", "--method", "lagrange", "--grid", "11,3000"]) == 0
+    with open(tmp_path / "sweep_lagrange.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["param"] for r in rows] == ["11", "3000"]
+    assert float(rows[0]["max_abs"]) > 0 and rows[0]["error"] == ""
+    assert rows[1]["max_abs"] == ""
+    assert rows[1]["error"].startswith("NumericError: product-form barycentric weights of 3000 nodes")
+
+
 def test_cli_list_methods(capsys):
     rc = main(["list-methods"])
     assert rc == 0

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -10,13 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from runge_lab import core
+import runge_lab
+from runge_lab import core, linalg
 from runge_lab.core import (
     Barycentric,
     Basis,
     BasisPoly,
     Interval,
     NodeSet,
+    NumericError,
     Piecewise,
     SampleSet,
     RUNGE,
@@ -209,13 +212,15 @@ def test_blocks_give_the_same_bits_on_any_number_of_workers(monkeypatch):
     block = max(1, core._EVAL_BLOCK // len(ns))
     grid = np.linspace(-1.0, 1.0, 3 * block + 17)  # four blocks, the last one short
     grid[[block - 1, block + 3, 2 * block + 5, 3 * block + 2]] = ns.xs[[1, 100, 150, 298]]  # a node in each block
-    node_sets = (_jittered_lobatto(1000).xs, equispaced(3000).xs)  # 4 and 35 row blocks
+    node_sets = (_jittered_lobatto(1000).xs, equispaced(1000).xs)  # in range; 4 row blocks each
     weights = {}
     for workers in (1, 2, 3):
         monkeypatch.setattr(core, "_WORKERS", workers)
         assert np.array_equal(b.evaluate(grid), _seed_evaluate(b, grid))
-        with np.errstate(all="ignore"):  # equispaced n = 3000 leaves the float range
+        with monkeypatch.context() as m:
+            m.setattr(core, "_EVAL_BLOCK", 1 << 14)  # 16 rows, so 63 row blocks each
             weights[workers] = [barycentric_weights(xs).tobytes() for xs in node_sets]
+        assert weights[workers] == [barycentric_weights(xs).tobytes() for xs in node_sets]
     assert weights[1] == weights[2] == weights[3]
 
 
@@ -234,17 +239,80 @@ def test_workers_keep_the_callers_float_error_settings(monkeypatch):
 def test_a_worker_exception_re_raises_in_the_caller(monkeypatch):
     monkeypatch.setattr(core, "_WORKERS", 2)
     monkeypatch.setattr(core, "_EVAL_BLOCK", 1)  # one point per block
-    done = []
+    started, second = [], threading.Event()
 
     def finish(start, diffs):
-        if start == 0:  # the block the first worker claims
-            raise KeyError("block 0")
-        threading.Event().wait(0.05)  # so the other worker is still busy when block 0 raises
-        done.append(start)
+        started.append(start)
+        if start == 1:  # the block the second worker claims
+            second.set()
+            raise KeyError("block 1")
+        second.wait(5)
+        threading.Event().wait(0.05)  # so block 1 has raised before block 0 ends
 
-    with pytest.raises(KeyError, match="block 0"):
+    with pytest.raises(KeyError, match="block 1"):
         core._blockwise(np.arange(4.0), np.zeros(1), finish)
-    assert sorted(done) == [1, 2, 3]  # the other worker took every block left, and ended before the raise
+    assert sorted(started) == [0, 1]  # the worker of block 0 claimed no block after block 1 raised
+
+
+def test_the_lowest_block_that_raises_gives_the_error(monkeypatch):
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    monkeypatch.setattr(core, "_EVAL_BLOCK", 1)  # one point per block
+    second = threading.Event()
+
+    def finish(start, diffs):
+        if start == 0:
+            second.wait(5)
+            threading.Event().wait(0.05)  # so block 1 has raised first
+        second.set()
+        raise KeyError(f"block {start}")
+
+    for _ in range(3):  # whichever worker runs block 0
+        with pytest.raises(KeyError, match="block 0"):
+            core._blockwise(np.arange(4.0), np.zeros(1), finish)
+        second.clear()
+
+
+@pytest.mark.parametrize("workers, on_caller", [(1, True), (2, True), (2, False), (3, True), (3, False)])
+def test_no_block_starts_after_a_block_raises(monkeypatch, workers, on_caller):
+    monkeypatch.setattr(core, "_WORKERS", workers)
+    monkeypatch.setattr(core, "_EVAL_BLOCK", 1)  # one point per block
+    caller, started, raised = threading.current_thread(), [], []
+
+    def finish(start, diffs):
+        started.append(start)
+        if (threading.current_thread() is caller) == on_caller and not raised:
+            raised.append(start)
+            raise KeyError(start)
+        threading.Event().wait(0.02)  # so the other workers are inside a block when it raises
+
+    with pytest.raises(KeyError):
+        core._blockwise(np.arange(24.0), np.zeros(1), finish)
+    # claimed in order: the blocks up to the failing one, and at most one more per other worker in flight
+    assert sorted(started) == list(range(len(started)))
+    assert len(started) <= min(raised) + workers
+
+
+def test_the_lowest_failing_block_wins_under_fast_thread_switching(monkeypatch):
+    monkeypatch.setattr(core, "_WORKERS", 4)  # more workers than a small machine has CPUs
+    monkeypatch.setattr(core, "_EVAL_BLOCK", 1)  # one point per block
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(20):
+            failing = set(np.random.default_rng(trial).choice(200, 5, replace=False).tolist())
+            started = []
+
+            def finish(start, diffs):
+                started.append(start)
+                if start in failing:
+                    raise KeyError(start)
+
+            with pytest.raises(KeyError) as info:
+                core._blockwise(np.arange(200.0), np.zeros(1), finish)
+            assert info.value.args == (min(failing),)  # a lost failure would let a later block's error win
+            assert sorted(started) == list(range(len(started)))  # each block once, claimed in order
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -413,11 +481,35 @@ def _one_shot_product_weights(xs):
 def test_barycentric_weights_in_row_blocks_keep_the_one_shot_products(n):
     rng = np.random.default_rng(n)
     for xs in (np.linspace(-1.0, 1.0, n), np.sort(rng.uniform(-1.0, 1.0, n))):
-        with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            assert np.array_equal(barycentric_weights(xs), _one_shot_product_weights(xs), equal_nan=True)
-    if n == 3000:  # the known defect: equispaced weights leave the float range
-        with pytest.raises(ValueError, match="must be nonzero"), np.errstate(all="ignore"):
+        if n <= 1000:
+            assert np.array_equal(barycentric_weights(xs), _one_shot_product_weights(xs))
+        else:  # the known defect: the weights leave the float range
+            with pytest.raises(NumericError, match=f"weights of {n} nodes leave the float range"):
+                barycentric_weights(xs)
+    if n == 3000:
+        with pytest.raises(NumericError):
             Barycentric.fit(RUNGE.sample(equispaced(n)))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_out_of_range_weights_name_n_the_rows_and_the_range(monkeypatch, workers):
+    monkeypatch.setattr(core, "_WORKERS", workers)
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    want = f"1200 nodes leave the float range in 40 row(s) (1160, 1161, 1162, ...): |w| must lie in [{tiny:.4g}, {huge:.4g}]"
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")  # the error is the only signal: no float warning, none raised
+        with pytest.raises(NumericError, match=re.escape(want)):
+            barycentric_weights(equispaced(1200).xs)
+        with pytest.raises(NumericError, match=re.escape("3000 nodes leave the float range in 87 row(s) (0, 1, 2, ...)")):
+            barycentric_weights(equispaced(3000).xs)  # the first block, on any number of workers
+    assert NumericError is linalg.NumericError is runge_lab.NumericError
+
+
+@pytest.mark.parametrize("bad", [0.0, np.inf, -np.inf, np.nan])
+def test_barycentric_refuses_zero_and_non_finite_weights(bad):
+    ns = NodeSet(Interval(), [-1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        Barycentric(ns, [1.0, 2.0, 3.0], [0.5, bad, 0.5])
 
 
 def test_barycentric_weight_invariants():
