@@ -2,12 +2,10 @@
 quadratic penalty stacked as extra rows), SVD with relative truncation, Thomas
 tridiagonal solve, coordinate descent for L1/elastic-net.
 
-Least squares refuses a system with a non-finite entry, then takes one of two
-paths. A system whose singular values show it is full rank is solved by one
-LAPACK call. Any other (fewer rows than columns, rank in doubt) goes to a
-Householder QR with column pivoting, written in Python, which drops the
-trailing pivot columns beyond its numerical rank and so returns the basic
-solution."""
+Least squares refuses a system with a non-finite entry, then makes one LAPACK
+solve on one of two column sets: every column when the singular values show
+full rank, else the basic columns that QR with column pivoting would keep, so
+a rank-deficient or wide system returns its basic solution."""
 
 from __future__ import annotations
 
@@ -26,95 +24,77 @@ def design_matrix(nodes: NodeSet, degree: int, basis: Basis = Basis.MONOMIAL) ->
     return basis.vander(nodes.interval.to_unit(nodes.xs), degree)
 
 
-def lstsq(A: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares solution of A c = y, by one of two paths.
-
-    A or y holding NaN or ±inf raises ``ValueError``: either path would
-    return all-NaN coefficients without a signal.
-
-    Full rank: a system with at least as many rows as columns is first
-    solved by LAPACK (``np.linalg.lstsq``, an SVD-based solve). With
-    tol = max(m, n)·eps, its solution is returned when the singular values
-    pass sigma_min > tol·sigma_max. That test also certifies full rank for
-    the pivoted QR below, because pivoted QR has |r_11| <= sigma_max and
-    |r_kk| >= |r_nn| >= sigma_min; both then give the unique least-squares
-    solution, up to rounding (Golub & Van Loan, Matrix Computations,
-    sec. 5.4-5.5).
-
-    Rank in doubt: every other system (fewer rows than columns, a failed
-    sigma test, or an SVD that does not converge) goes to
-    :func:`_pivoted_qr_lstsq`. There rank is decided on the diagonal of
-    R with the same tol, and the trailing pivot columns beyond it get zero
-    coefficients: the basic solution, not the minimum-norm one LAPACK
-    would give, so a rank-deficient fit keeps the coefficients it always had.
-    """
+def _system(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A and y as float arrays, checked to form a finite system: a non-empty
+    2-D matrix and one rhs entry per row."""
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
+    if A.ndim != 2 or A.size == 0:
+        raise ValueError("A must be a non-empty 2-D matrix")
+    if y.shape != A.shape[:1]:
+        raise ValueError("rhs length must match row count")
     if not (np.isfinite(A).all() and np.isfinite(y).all()):
         raise ValueError("least-squares system must be finite")
-    if A.ndim == 2 and y.shape == A.shape[:1] and 0 < A.shape[1] <= A.shape[0]:
-        tol = max(A.shape) * np.finfo(float).eps
+    return A, y
+
+
+def lstsq(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares solution of A c = y by one LAPACK solve (``np.linalg.lstsq``).
+
+    NaN or ±inf in A or y raises ``ValueError``; the solve would return NaN
+    coefficients without a signal. With tol = max(m, n)·eps, a system of m >= n
+    rows whose singular values pass sigma_min > tol·sigma_max is full rank and
+    keeps all its columns. Any other (wide, rank in doubt, or an SVD that does
+    not converge) is solved on the columns :func:`_basic_columns` picks, with
+    zeros for the rest: the basic solution, not LAPACK's minimum-norm one
+    (Golub & Van Loan, Matrix Computations, sec. 5.4-5.5). A kept-column solve
+    that does not converge raises :class:`NumericError`.
+    """
+    A, y = _system(A, y)
+    m, n = A.shape
+    tol = max(m, n) * np.finfo(float).eps
+    if m >= n:
         try:
             c, _, _, s = np.linalg.lstsq(A, y, rcond=tol)
         except np.linalg.LinAlgError:
-            pass  # the pivoted QR decides
+            pass  # the basic columns decide
         else:
             if s[-1] > tol * s[0]:
                 return c
-    return _pivoted_qr_lstsq(A, y)
-
-
-def _pivoted_qr_lstsq(A: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least squares via Householder QR with column pivoting.
-
-    Rank-deficient trailing pivot columns get zero coefficients.
-    """
-    if A.ndim != 2 or A.size == 0:
-        raise ValueError("A must be a non-empty 2-D matrix")
-    m, n = A.shape
-    if len(y) != m:
-        raise ValueError("rhs length must match row count")
-
-    R = A.copy()
-    b = y.copy()
-    perm = np.arange(n)
-    steps = min(m, n)
-    for k in range(steps):
-        norms = np.linalg.norm(R[k:, k:], axis=0)
-        p = k + int(np.argmax(norms))
-        if p != k:
-            R[:, [k, p]] = R[:, [p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        x = R[k:, k]
-        alpha = -np.copysign(np.linalg.norm(x), x[0] if x[0] != 0 else 1.0)
-        if alpha == 0.0:
-            continue
-        v = x.copy()
-        v[0] -= alpha
-        vnorm2 = v @ v
-        if vnorm2 == 0.0:
-            continue
-        R[k:, k:] -= np.outer(v, (2.0 / vnorm2) * (v @ R[k:, k:]))
-        b[k:] -= (2.0 * (v @ b[k:]) / vnorm2) * v
-        R[k + 1:, k] = 0.0
-        R[k, k] = alpha
-
-    diag = np.abs(np.diag(R[:steps, :steps]))
-    rank = steps
-    if diag[0] == 0.0:
-        rank = 0
-    else:
-        tol = max(m, n) * np.finfo(float).eps * diag[0]
-        small = np.nonzero(diag <= tol)[0]
-        if len(small):
-            rank = int(small[0])
-
+    keep = _basic_columns(A, tol)
     c = np.zeros(n)
-    if rank > 0:
-        c[:rank] = np.linalg.solve(np.triu(R[:rank, :rank]), b[:rank])
-    out = np.zeros(n)
-    out[perm] = c
-    return out
+    if keep.size:
+        try:
+            c[keep] = np.linalg.lstsq(A[:, keep], y, rcond=tol)[0]
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"least squares on {keep.size} of {n} columns failed: {exc}") from exc
+    return c
+
+
+def _basic_columns(A: np.ndarray, tol: float) -> np.ndarray:
+    """Sorted indices of the columns QR with column pivoting keeps. Each step
+    takes the column whose residual, its part orthogonal to the columns taken
+    so far, has the largest norm (the lowest index on a tie), and removes one
+    re-orthogonalized Gram-Schmidt direction from every residual. It stops at
+    the first largest residual norm <= tol times the largest column norm."""
+    m, n = A.shape
+    R = A.copy()
+    norms = np.linalg.norm(R, axis=0)
+    cut = tol * norms.max()
+    Q = np.empty((m, min(m, n)))
+    kept = []
+    for k in range(min(m, n)):
+        p = int(np.argmax(norms))
+        if not norms[p] > cut:
+            break
+        q = R[:, p] / norms[p]
+        q -= Q[:, :k] @ (Q[:, :k].T @ q)
+        Q[:, k] = q / np.linalg.norm(q)
+        R -= np.outer(Q[:, k], Q[:, k] @ R)
+        R[:, p] = 0.0
+        kept.append(p)
+        norms = np.linalg.norm(R, axis=0)
+    return np.sort(np.array(kept, dtype=int))
 
 
 @dataclass(frozen=True)
@@ -129,6 +109,8 @@ def svd(A: np.ndarray) -> SvdFactors:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or min(A.shape) < 1:
         raise ValueError("A must be a non-empty 2-D matrix")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix must be finite")
     try:
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -139,14 +121,13 @@ def svd(A: np.ndarray) -> SvdFactors:
 def truncated_pinv_solve(A: np.ndarray, y: np.ndarray, threshold: float) -> tuple[np.ndarray, int]:
     """Pseudo-inverse solve keeping singular values with sigma/sigma_max >= threshold.
 
-    Returns the coefficient vector and the kept rank.
+    Returns the coefficient vector and the kept rank. The system is checked as
+    :func:`lstsq` checks it, before the SVD.
     """
     if not threshold >= 0:
         raise ValueError("threshold must be >= 0")
-    y = np.asarray(y, dtype=float)
+    A, y = _system(A, y)
     f = svd(A)
-    if len(y) != f.U.shape[0]:
-        raise ValueError("rhs length must match row count")
     s = f.singular_values
     keep = (s > 0) & (s >= threshold * float(s[0]))  # inf * 0.0 is NaN, without numpy's warning
     kept_rank = int(np.count_nonzero(keep))

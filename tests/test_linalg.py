@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,6 @@ from runge_lab import linalg
 from runge_lab.interpolants import PenaltyKind, fit_regularized
 from runge_lab.linalg import (
     NumericError,
-    _pivoted_qr_lstsq,
     design_matrix,
     elastic_net_cd,
     elastic_net_objective,
@@ -80,6 +80,30 @@ def test_lstsq_rank_deficient_zero_fill():
     assert np.allclose(A @ c, [1, 2, 3], atol=1e-12)
 
 
+def _pivoted_qr_support(A):
+    """Sorted columns that scipy's QR with column pivoting keeps before its first
+    |r_kk| <= max(m, n)·eps·|r_11|."""
+    _, R, perm = scipy.linalg.qr(A, mode="economic", pivoting=True)
+    d = np.abs(np.diag(R))
+    small = np.flatnonzero(d <= max(A.shape) * np.finfo(float).eps * d[0])
+    return np.sort(perm[: small[0] if small.size else d.size])
+
+
+def _basic_solution_residual(A, y, c):
+    """Assert that c is exactly zero off scipy's pivoted-QR support and nonzero
+    on it; return max |A_k^T r| over the kept columns A_k, r = A c - y, which
+    is zero up to rounding when c solves least squares on them."""
+    keep = _pivoted_qr_support(A)
+    assert np.array_equal(np.flatnonzero(c), keep)
+    return np.max(np.abs(A[:, keep].T @ (A @ c - y)), initial=0.0)
+
+
+def _backward_stable_bound(A, y, c):
+    # what a backward-stable solve leaves of A_k^T r on an ill-conditioned A_k
+    Ak = A[:, np.flatnonzero(c)]
+    return np.finfo(float).eps * np.linalg.norm(Ak) * (np.linalg.norm(Ak) * np.linalg.norm(c) + np.linalg.norm(y))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 12),
@@ -89,9 +113,11 @@ def test_lstsq_rank_deficient_zero_fill():
 )
 def test_full_rank_lstsq_matches_the_pivoted_qr(n, extra_rows, log_cond, seed):
     # A = U diag(s) V^T with singular values spread over 10^log_cond; random y
-    # leaves a residual. Both solvers are backward stable, so each is within
-    # the least-squares perturbation bound of the true solution:
-    # eps * cond * (|c| + cond * |r| / sigma_max), up to a modest factor.
+    # leaves a residual. LAPACK's complete orthogonal factorization (gelsy, a
+    # QR with column pivoting) is the reference. Both solvers are backward
+    # stable, so each is within the least-squares perturbation bound of the
+    # true solution: eps * cond * (|c| + cond * |r| / sigma_max), up to a
+    # modest factor.
     g = np.random.default_rng(seed)
     m = n + extra_rows
     U, _ = np.linalg.qr(g.normal(size=(m, n)))
@@ -99,8 +125,8 @@ def test_full_rank_lstsq_matches_the_pivoted_qr(n, extra_rows, log_cond, seed):
     s = np.logspace(0.0, -log_cond, n)
     A = (U * s) @ V.T
     y = g.normal(size=m)
-    want = _pivoted_qr_lstsq(A, y)
-    with mock.patch.object(linalg, "_pivoted_qr_lstsq", side_effect=AssertionError("took the pivoted path")):
+    want = scipy.linalg.lstsq(A, y, lapack_driver="gelsy")[0]
+    with mock.patch.object(linalg, "_basic_columns", side_effect=AssertionError("took the basic-columns path")):
         got = lstsq(A, y)
     cond = s[0] / s[-1]
     r = np.linalg.norm(A @ want - y)
@@ -113,7 +139,8 @@ def test_rank_deficient_tall_design_keeps_the_basic_solution():
     samples = RUNGE.sample(equispaced(201))
     A = design_matrix(samples.nodes, 100, Basis.MONOMIAL)
     c = lstsq(A, samples.ys)
-    assert np.array_equal(c, _pivoted_qr_lstsq(A, samples.ys))
+    assert np.count_nonzero(c) == 49
+    assert _basic_solution_residual(A, samples.ys, c) <= _backward_stable_bound(A, samples.ys, c)
     # the columns beyond the numerical rank get exact zeros, where LAPACK's
     # minimum-norm solution would spread weight over every column
     assert np.count_nonzero(c == 0.0) >= A.shape[1] - np.linalg.matrix_rank(A)
@@ -124,7 +151,41 @@ def test_wide_system_takes_the_pivoted_path():
     samples = RUNGE.sample(equispaced(5))
     A = design_matrix(samples.nodes, 10, Basis.MONOMIAL)
     assert A.shape == (5, 11)
-    assert np.array_equal(lstsq(A, samples.ys), _pivoted_qr_lstsq(A, samples.ys))
+    c = lstsq(A, samples.ys)
+    assert np.count_nonzero(c) == 5
+    assert _basic_solution_residual(A, samples.ys, c) <= _backward_stable_bound(A, samples.ys, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 25),
+    n=st.integers(1, 25),
+    rank_short=st.integers(0, 5),
+    log_cond=st.floats(0.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_deficient_and_wide_lstsq_keep_the_pivoted_qr_support(m, n, rank_short, log_cond, seed):
+    # A = U diag(s) V^T of rank r, singular values spread over 10^log_cond: r is
+    # below min(m, n) for a tall or square design, and at most m for a wide one
+    if m >= n:
+        r = n - 1 - min(rank_short, n - 1)
+    else:
+        r = m - min(rank_short, m - 1)
+    g = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(g.normal(size=(m, max(r, 1))))
+    V, _ = np.linalg.qr(g.normal(size=(n, max(r, 1))))
+    s = np.logspace(0.0, -log_cond, r)
+    A = (U[:, :r] * s) @ V[:, :r].T
+    y = g.normal(size=m)
+    bound = 1e-8 * np.linalg.norm(A) * np.linalg.norm(y)  # as in test_lstsq_residual_orthogonality
+    assert _basic_solution_residual(A, y, lstsq(A, y)) <= bound
+
+
+def test_a_kept_column_solve_that_does_not_converge_raises():
+    A = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    with mock.patch.object(np.linalg, "lstsq", side_effect=np.linalg.LinAlgError("SVD did not converge")):
+        with pytest.raises(NumericError, match="least squares on 1 of 2 columns failed"):
+            lstsq(A, [1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -207,6 +268,29 @@ def test_truncated_solve_fully_truncated():
         for threshold in (0.0, np.inf):
             with pytest.raises(NumericError):
                 truncated_pinv_solve(np.zeros((2, 2)), [1.0, 1.0], threshold)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["A", "y"])
+def test_non_finite_system_is_refused_before_the_svd(bad, where, capfd):
+    samples = RUNGE.sample(equispaced(11))
+    A = design_matrix(samples.nodes, 4, Basis.LEGENDRE)
+    y = samples.ys.copy()
+    if where == "A":
+        A[3, 2] = bad
+    else:
+        y[3] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        truncated_pinv_solve(A, y, 0.1)
+    with pytest.raises(ValueError, match="must be finite"):
+        svd(np.column_stack([A, y]))  # not NumericError("SVD failed to converge")
+    assert capfd.readouterr() == ("", "")
+
+
+def test_truncated_solve_checks_the_rhs_length_before_the_svd():
+    with mock.patch.object(linalg, "svd", side_effect=AssertionError("ran the SVD")):
+        with pytest.raises(ValueError, match="rhs length must match row count"):
+            truncated_pinv_solve(np.eye(3), [1.0, 2.0], 0.1)
 
 
 def test_tridiagonal_identity():
