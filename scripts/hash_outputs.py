@@ -7,11 +7,11 @@ registered method ``M`` and ``runge-lab sweep --method M --grid 5,11,21`` for
 every one that takes a sample count (into ``run/`` and ``sweep/`` under the
 output directory) and ``runge-lab list-methods``. It then prints one line
 ``<sha256>  <name>`` for every file those commands wrote (named by its path
-under the output directory), one for the stdout of each ``run`` and ``sweep``
-(named ``run/M.stdout`` and ``sweep/M.stdout``, with the output directory
-written as ``<out>``) and one for the stdout of ``list-methods``. Run it before and after
-a refactor and ``diff`` the two manifests; a line that differs names an output
-that changed.
+under the output directory), one for the stdout of ``figure all`` and of each
+``run`` and ``sweep`` (named ``figure.stdout``, ``run/M.stdout`` and
+``sweep/M.stdout``, with the output directory written as ``<out>``) and one for
+the stdout of ``list-methods``. Run it before and after a refactor and
+``diff`` the two manifests; a line that differs names an output that changed.
 
     python3 scripts/hash_outputs.py > before.txt
     python3 scripts/hash_outputs.py --out kept/ > after.txt
@@ -48,8 +48,8 @@ def _sha(data: bytes) -> str:
 
 def manifest(out_dir: Path) -> list[tuple[str, str]]:
     """(sha256 hex digest, name) for every output, sorted by name."""
-    _cli("--out", str(out_dir), "--svg", "figure", "all")
-    rows = []
+    figure_stdout = _cli("--out", str(out_dir), "--svg", "figure", "all")
+    rows = [(_sha(figure_stdout.replace(str(out_dir).encode(), b"<out>")), "figure.stdout")]
     commands = {
         "run": ("--svg", "run", "--method"),
         "sweep": ("sweep", "--grid", "5,11,21", "--method"),

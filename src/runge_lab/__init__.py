@@ -34,7 +34,7 @@ from .interpolants import (
     tisi_fit,
 )
 from .linalg import NumericError
-from .metrics import ErrorReport, chebyshev_bound, convergence_study, error_report
+from .metrics import ErrorReport, chebyshev_bound, error_report
 from .nodes import (
     chebyshev_lobatto,
     chebyshev_roots,

@@ -296,21 +296,27 @@ def _fit(spec: FitSpec, f: TargetFunction, interval: Interval):
     return info.build(samples, f, degree, interval, **params)
 
 
+def _score(spec: FitSpec, f: TargetFunction, interval: Interval, xs: np.ndarray, truth: np.ndarray):
+    """(values on xs, report labelled spec.label, named point sets) of one fit,
+    scored as metrics.error_report would against `truth`, f on the grid `xs`."""
+    approx, points = _fit(spec, f, interval)
+    ys = approx.evaluate(xs)
+    return ys, metrics.grid_report(xs, truth, ys, interval, approx.n_params, spec.label), points
+
+
 def _bundle(figure: FigureSpec, f: TargetFunction, interval: Interval, grid_size: int) -> ReportBundle:
     """Truth + one curve and error report per fit, and the figure's markers.
 
-    The target is called on the grid once per figure and each fit evaluated
-    on it once; metrics.grid_report scores each curve against the truth as
-    metrics.error_report would. Cost is one target call and one evaluate per
-    fit on the grid, beyond the fits themselves."""
+    The target is called on the grid once per figure and _score fits,
+    evaluates and scores each fit against that truth. Cost is one target call
+    and one evaluate per fit on the grid, beyond the fits themselves."""
     xs = np.linspace(interval.lo, interval.hi, grid_size)
     truth = f(xs)
     curves, reports, points = [Curve(f.name, xs, truth)], [], {}
     for spec in figure.fits:
-        approx, points[spec.label] = _fit(spec, f, interval)
-        ys = approx.evaluate(xs)
+        ys, report, points[spec.label] = _score(spec, f, interval, xs, truth)
         curves.append(Curve(spec.label, xs, ys))
-        reports.append(metrics.grid_report(xs, truth, ys, interval, approx.n_params, spec.label))
+        reports.append(report)
     markers = [
         Curve(legend, *points[label][name]) for legend, label, name in figure.markers if name in points[label]
     ]
@@ -337,11 +343,9 @@ def run_figure(
     n_samples: int | None = None,
     output_dir: str | None = None,
     emit_svg_file: bool = False,
-    column_text: dict | None = None,
 ) -> ReportBundle:
     """Reproduce one of the paper-style figures as curves plus error reports;
-    `n_samples` resizes every fit of a resizable figure. `column_text` is
-    passed on to emit_csv, so one command can format each column once."""
+    `n_samples` resizes every fit of a resizable figure."""
     if figure_id not in SUPPORTED_FIGURES:
         raise UsageError(_figure_error(figure_id))
     figure = FIGURES[figure_id]
@@ -352,8 +356,28 @@ def run_figure(
         fits = tuple(dataclasses.replace(spec, n_samples=n_samples) for spec in figure.fits)
         figure = dataclasses.replace(figure, fits=fits)
     bundle = _bundle(figure, RUNGE, Interval(), grid_size)
-    _maybe_write(bundle, output_dir, emit_svg_file, name=f"figure{figure_id}", column_text=column_text)
+    _maybe_write(bundle, output_dir, emit_svg_file, name=f"figure{figure_id}")
     return bundle
+
+
+def run_figures(
+    ids,
+    grid_size: int = DEFAULT_GRID_SIZE,
+    n_samples: int | None = None,
+    output_dir: str | None = None,
+    emit_svg_file: bool = False,
+):
+    """Yield (figure id, bundle) of each of `ids`, written as run_figure writes
+    it; across several ids `n_samples` resizes only the resizable figures."""
+    column_text = {}  # the figures share their grid and truth, and some their curves: format each once
+    for fid in ids:
+        resize = len(ids) == 1 or (fid in FIGURES and FIGURES[fid].resizable)
+        bundle = run_figure(fid, grid_size, n_samples if resize else None)
+        if output_dir is not None:
+            emit_csv(bundle, Path(output_dir) / f"figure{fid}.csv", column_text=column_text)
+            if emit_svg_file:
+                emit_svg(bundle, Path(output_dir) / f"figure{fid}.svg")
+        yield fid, bundle
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +403,11 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise OSError(f"failed writing {path}: {exc}") from exc
 
 
-def _maybe_write(
-    bundle: ReportBundle, output_dir: str | None, svg: bool, name: str, column_text: dict | None = None
-) -> None:
+def _maybe_write(bundle: ReportBundle, output_dir: str | None, svg: bool, name: str) -> None:
     if output_dir is None:
         return
     out = Path(output_dir)
-    emit_csv(bundle, out / f"{name}.csv", column_text=column_text)
+    emit_csv(bundle, out / f"{name}.csv")
     if svg:
         emit_svg(bundle, out / f"{name}.svg")
 
@@ -571,10 +593,21 @@ def read_curve_csv(path) -> list[Curve]:
 
 
 def sweep(method: str, grid, grid_size: int = DEFAULT_GRID_SIZE) -> list[metrics.StudyEntry]:
-    """Convergence study of a registered method on the Runge function over sample counts."""
+    """One report `<method>[<n>]` of the Runge function per sample count n, all
+    on one grid; a count whose fit, evaluate or score raises records the error."""
     check_inputs(method, ("n_samples",))
-
-    def handle(f, n):
-        return _fit(FitSpec(method, method, n_samples=n, degree=None), f, Interval())[0]
-
-    return metrics.convergence_study(handle, RUNGE, list(grid), grid_size=grid_size, method_name=method)
+    grid = list(grid)
+    if not grid:
+        raise ValueError("param grid must be non-empty")
+    interval = Interval()
+    xs = np.linspace(interval.lo, interval.hi, grid_size)
+    truth = RUNGE(xs)
+    entries = []
+    for n in grid:
+        spec = FitSpec(f"{method}[{n}]", method, n_samples=n, degree=None)
+        try:
+            _, report, _ = _score(spec, RUNGE, interval, xs, truth)
+            entries.append(metrics.StudyEntry(n, report))
+        except Exception as exc:  # record, keep going
+            entries.append(metrics.StudyEntry(n, None, f"{type(exc).__name__}: {exc}"))
+    return entries

@@ -85,18 +85,7 @@ def _cmd_figure(args, out_dir):
             raise UsageError(f"figure id must be an integer or 'all', got {args.figure_id!r}")
     if args.n_samples is not None and args.n_samples < _FIT_FIELDS["n_samples"]:
         raise UsageError(f"--n-samples must be at least {_FIT_FIELDS['n_samples']}, got {args.n_samples}")
-    column_text = {}  # the figures share their grid and truth, and some their curves: format each once
-    for fid in ids:
-        # 'all' resizes the resizable figures; run_figure rejects any other override
-        resize = args.figure_id != "all" or bench.FIGURES[fid].resizable
-        bundle = bench.run_figure(
-            fid,
-            grid_size=args.grid_size,
-            n_samples=args.n_samples if resize else None,
-            output_dir=out_dir,
-            emit_svg_file=args.svg,
-            column_text=column_text,
-        )
+    for fid, bundle in bench.run_figures(ids, args.grid_size, args.n_samples, out_dir, args.svg):
         for r in bundle.reports:
             print(f"figure {fid}: {r.method}: max_abs={r.max_abs:.6g} rms={r.rms:.6g}")
     print(f"outputs written to {out_dir}")

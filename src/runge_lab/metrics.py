@@ -1,11 +1,9 @@
-"""Error measurement on dense grids, the Chebyshev error bound, and
-convergence studies across a parameter grid."""
+"""Error measurement on dense grids and the Chebyshev error bound."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -79,28 +77,3 @@ def chebyshev_bound(n: int, M: float) -> float:
     if not 0 <= M < math.inf:
         raise ValueError("M must be finite and >= 0")
     return math.ldexp(M / (n + 1), -n)  # no 2.0**n, which overflows from n = 1024
-
-
-def convergence_study(
-    method_handle: Callable[[TargetFunction, int], Approximant],
-    f: TargetFunction,
-    param_grid: Sequence[int],
-    interval: Interval = Interval(),
-    grid_size: int = DEFAULT_GRID_SIZE,
-    method_name: str = "",
-) -> list[StudyEntry]:
-    """One error report per parameter value on a shared evaluation grid.
-
-    A failing fit is recorded in its entry instead of aborting the study.
-    """
-    if not len(param_grid):
-        raise ValueError("param grid must be non-empty")
-    entries = []
-    for p in param_grid:
-        label = f"{method_name}[{p}]" if method_name else str(p)
-        try:
-            approx = method_handle(f, p)
-            entries.append(StudyEntry(param=p, report=error_report(approx, f, interval, grid_size, method=label)))
-        except Exception as exc:  # record, keep going
-            entries.append(StudyEntry(param=p, report=None, error=f"{type(exc).__name__}: {exc}"))
-    return entries

@@ -218,9 +218,9 @@ class _CountedFit:
         return self.approx.evaluate(x)
 
 
-def _spied_figure(monkeypatch, figure_id, grid_size):
-    """run_figure with each fit's approximant counting its evaluate calls;
-    returns the bundle, the counted fits and the length of each target call."""
+def _spy(monkeypatch):
+    """Make each fit's approximant count its evaluate calls and the target
+    record the length of each call; returns the counted fits and the lengths."""
     fits, target_calls = [], []
     real_fit = bench._fit
 
@@ -235,6 +235,13 @@ def _spied_figure(monkeypatch, figure_id, grid_size):
 
     monkeypatch.setattr(bench, "_fit", fit)
     monkeypatch.setattr(bench, "RUNGE", TargetFunction("runge", target))
+    return fits, target_calls
+
+
+def _spied_figure(monkeypatch, figure_id, grid_size):
+    """run_figure under _spy; returns the bundle, the counted fits and the
+    length of each target call."""
+    fits, target_calls = _spy(monkeypatch)
     return run_figure(figure_id, grid_size=grid_size), fits, target_calls
 
 
@@ -252,6 +259,16 @@ def test_run_figure_reports_what_error_report_reports(monkeypatch, figure_id):
     specs = bench.FIGURES[figure_id].fits
     want = [error_report(fit.approx, RUNGE, Interval(), 301, method=spec.label) for fit, spec in zip(fits, specs)]
     assert [dataclasses.astuple(r) for r in bundle.reports] == [dataclasses.astuple(r) for r in want]
+
+
+@pytest.mark.parametrize("figure_id", bench.SUPPORTED_FIGURES)
+def test_every_figure_marker_names_a_fit_and_a_point_set_it_returns(figure_id):
+    figure = bench.FIGURES[figure_id]
+    specs = {spec.label: spec for spec in figure.fits}
+    for legend, label, name in figure.markers:
+        assert label in specs, (legend, label)
+        _, points = bench._fit(specs[label], RUNGE, Interval())
+        assert name in points, (legend, name)
 
 
 def test_run_figure_unsupported_lists_ids():
@@ -685,6 +702,19 @@ def test_sweep_and_unknown_method():
         bench.sweep("nope", [5])
     with pytest.raises(UsageError, match="samples the target itself"):
         bench.sweep("tisi", [5, 11])  # TISI samples each band itself
+
+
+@pytest.mark.parametrize("method", [m for m, info in bench.METHODS.items() if "n_samples" in info.inputs])
+def test_sweep_evaluates_each_fit_and_the_target_once(monkeypatch, method):
+    fits, target_calls = _spy(monkeypatch)
+    entries = bench.sweep(method, [5, 11, 21], grid_size=257)
+    assert target_calls.count(257) == 1  # no fit samples the target at 257 points
+    scored = [e for e in entries if e.report is not None]  # a fit that raises leaves no approximant
+    assert len(scored) >= 2 and [fit.calls for fit in fits] == [1] * len(scored)
+    want = [
+        error_report(fit.approx, RUNGE, Interval(), 257, method=f"{method}[{e.param}]") for fit, e in zip(fits, scored)
+    ]
+    assert [dataclasses.astuple(e.report) for e in scored] == [dataclasses.astuple(r) for r in want]
 
 
 def test_sweep_records_a_one_root_chebyshev_fit_as_failed():

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from runge_lab import bench
 from runge_lab.core import Basis, BasisPoly, RUNGE, TargetFunction
 from runge_lab.interpolants import cubic_spline, lagrange_interpolate
-from runge_lab.metrics import chebyshev_bound, convergence_study, error_report
+from runge_lab.metrics import chebyshev_bound, error_report
 from runge_lab.nodes import chebyshev_roots, equispaced
 
 
@@ -86,27 +87,32 @@ def test_chebyshev_bound_validates_sine():
 
 
 def test_convergence_study_equispaced_diverges():
-    handle = lambda f, n: lagrange_interpolate(f.sample(equispaced(n)))
-    entries = convergence_study(handle, RUNGE, [5, 10, 15, 20])
+    entries = bench.sweep("lagrange", [5, 10, 15, 20])  # Lagrange on equispaced nodes
     errs = [e.report.max_abs for e in entries]
     assert errs[1] < errs[2] < errs[3]
 
 
 def test_convergence_study_chebyshev_converges():
-    handle = lambda f, n: lagrange_interpolate(f.sample(chebyshev_roots(n - 1)))
-    entries = convergence_study(handle, RUNGE, [5, 10, 15, 20])
+    entries = bench.sweep("chebyshev", [5, 10, 15, 20])  # Lagrange on n Chebyshev roots
     errs = [e.report.max_abs for e in entries]
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
-def test_convergence_study_records_failures():
-    def flaky(f, n):
-        if n == 2:
-            raise ValueError("boom")
-        return lagrange_interpolate(f.sample(equispaced(n)))
+def test_convergence_study_records_failures(monkeypatch):
+    real_fit = bench._fit
 
-    entries = convergence_study(flaky, RUNGE, [2, 5])
-    assert entries[0].report is None and "boom" in entries[0].error
-    assert entries[1].report is not None
+    def flaky(spec, f, interval):
+        if spec.n_samples == 2:
+            raise ValueError("boom")
+        return real_fit(spec, f, interval)
+
+    monkeypatch.setattr(bench, "_fit", flaky)
+    entries = bench.sweep("lagrange", [2, 5])
+    assert entries[0].report is None and entries[0].error == "ValueError: boom"
+    assert entries[1].report is not None and entries[1].report.method == "lagrange[5]"
+    # a score that fails is recorded in each row as well
+    assert [e.error for e in bench.sweep("lagrange", [5, 11], grid_size=1)] == [
+        "ValueError: grid_size must be >= 2"
+    ] * 2
     with pytest.raises(ValueError):
-        convergence_study(flaky, RUNGE, [])
+        bench.sweep("lagrange", [])

@@ -2,6 +2,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -47,3 +49,17 @@ def test_reproduce_figures_writes_what_figure_all_writes(tmp_path, monkeypatch, 
     assert len(names) == 36  # CSV, report CSV and SVG of each of the 12 figures
     for name in names:
         assert (script / name).read_bytes() == (cli / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("grid_size", ["1", "0"])
+def test_reproduce_figures_refuses_a_grid_below_two_points_as_the_cli_does(tmp_path, monkeypatch, capsys, grid_size):
+    from runge_lab.cli import main
+
+    assert main(["--out", str(tmp_path), "--grid-size", grid_size, "figure", "all"]) == 2
+    cli = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["reproduce_figures.py", "--out", str(tmp_path), "--grid-size", grid_size])
+    assert _load("reproduce_figures").main() == 2
+    script = capsys.readouterr()
+    assert script.err == cli.err == f"error: --grid-size must be at least 2, got {grid_size}\n"
+    assert script.out == ""  # refused before the table header
+    assert not any(tmp_path.iterdir())  # and nothing written
