@@ -333,7 +333,10 @@ def run_experiment(
     nodes it was fitted to; the files are named after its method."""
     figure = FigureSpec((fit,), (("sample nodes", fit.label, "nodes"),))
     bundle = _bundle(figure, RUNGE, Interval(), grid_size)
-    _maybe_write(bundle, output_dir, emit_svg_file, name=fit.method)
+    if output_dir is not None:
+        emit_csv(bundle, Path(output_dir) / f"{fit.method}.csv")
+        if emit_svg_file:
+            emit_svg(bundle, Path(output_dir) / f"{fit.method}.svg")
     return bundle
 
 
@@ -341,11 +344,10 @@ def run_figure(
     figure_id: int,
     grid_size: int = DEFAULT_GRID_SIZE,
     n_samples: int | None = None,
-    output_dir: str | None = None,
-    emit_svg_file: bool = False,
 ) -> ReportBundle:
     """Reproduce one of the paper-style figures as curves plus error reports;
-    `n_samples` resizes every fit of a resizable figure."""
+    `n_samples` resizes every fit of a resizable figure. run_figures writes
+    the files."""
     if figure_id not in SUPPORTED_FIGURES:
         raise UsageError(_figure_error(figure_id))
     figure = FIGURES[figure_id]
@@ -355,9 +357,7 @@ def run_figure(
             raise UsageError(f"figure {figure_id} has fixed sample counts; resizable: {resizable}")
         fits = tuple(dataclasses.replace(spec, n_samples=n_samples) for spec in figure.fits)
         figure = dataclasses.replace(figure, fits=fits)
-    bundle = _bundle(figure, RUNGE, Interval(), grid_size)
-    _maybe_write(bundle, output_dir, emit_svg_file, name=f"figure{figure_id}")
-    return bundle
+    return _bundle(figure, RUNGE, Interval(), grid_size)
 
 
 def run_figures(
@@ -367,8 +367,10 @@ def run_figures(
     output_dir: str | None = None,
     emit_svg_file: bool = False,
 ):
-    """Yield (figure id, bundle) of each of `ids`, written as run_figure writes
-    it; across several ids `n_samples` resizes only the resizable figures."""
+    """Yield (figure id, bundle) of each of `ids` after writing it to
+    `output_dir` as figure<id>.csv, and .svg with `emit_svg_file`, unless the
+    directory is None; across several ids `n_samples` resizes only the
+    resizable figures."""
     column_text = {}  # the figures share their grid and truth, and some their curves: format each once
     for fid in ids:
         resize = len(ids) == 1 or (fid in FIGURES and FIGURES[fid].resizable)
@@ -401,15 +403,6 @@ def _atomic_write(path: Path, data: bytes) -> None:
         except OSError:
             pass
         raise OSError(f"failed writing {path}: {exc}") from exc
-
-
-def _maybe_write(bundle: ReportBundle, output_dir: str | None, svg: bool, name: str) -> None:
-    if output_dir is None:
-        return
-    out = Path(output_dir)
-    emit_csv(bundle, out / f"{name}.csv")
-    if svg:
-        emit_svg(bundle, out / f"{name}.svg")
 
 
 def _write_csv(path: Path, rows, body: str = "") -> None:
@@ -594,11 +587,14 @@ def read_curve_csv(path) -> list[Curve]:
 
 def sweep(method: str, grid, grid_size: int = DEFAULT_GRID_SIZE) -> list[metrics.StudyEntry]:
     """One report `<method>[<n>]` of the Runge function per sample count n, all
-    on one grid; a count whose fit, evaluate or score raises records the error."""
+    on one grid; a count whose fit, evaluate or score raises records the error.
+    An empty `grid` or a grid_size below 2 raises ValueError."""
     check_inputs(method, ("n_samples",))
     grid = list(grid)
     if not grid:
         raise ValueError("param grid must be non-empty")
+    if grid_size < 2:
+        raise ValueError("grid_size must be >= 2")
     interval = Interval()
     xs = np.linspace(interval.lo, interval.hi, grid_size)
     truth = RUNGE(xs)

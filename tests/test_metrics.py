@@ -110,9 +110,9 @@ def test_convergence_study_records_failures(monkeypatch):
     entries = bench.sweep("lagrange", [2, 5])
     assert entries[0].report is None and entries[0].error == "ValueError: boom"
     assert entries[1].report is not None and entries[1].report.method == "lagrange[5]"
-    # a score that fails is recorded in each row as well
-    assert [e.error for e in bench.sweep("lagrange", [5, 11], grid_size=1)] == [
-        "ValueError: grid_size must be >= 2"
-    ] * 2
     with pytest.raises(ValueError):
         bench.sweep("lagrange", [])
+    # a grid that cannot score any row is refused up front, as an empty one is
+    for size in (1, 0, -1):
+        with pytest.raises(ValueError, match="grid_size must be >= 2"):
+            bench.sweep("lagrange", [5, 11], grid_size=size)
