@@ -10,8 +10,11 @@ output directory) and ``runge-lab list-methods``. It then prints one line
 under the output directory), one for the stdout of ``figure all`` and of each
 ``run`` and ``sweep`` (named ``figure.stdout``, ``run/M.stdout`` and
 ``sweep/M.stdout``, with the output directory written as ``<out>``) and one for
-the stdout of ``list-methods``. Run it before and after a refactor and
-``diff`` the two manifests; a line that differs names an output that changed.
+the stdout of ``list-methods``. Each of those commands must exit 0. Last, it
+runs each command of ``REFUSED``, a usage error, with ``--out`` under
+``refused/``, and hashes ``exit=<code>`` and a newline followed by its stderr as
+``refused/<name>.stderr``. Run it before and after a refactor and ``diff`` the
+two manifests; a line that differs names an output that changed.
 
     python3 scripts/hash_outputs.py > before.txt
     python3 scripts/hash_outputs.py --out kept/ > after.txt
@@ -33,13 +36,25 @@ sys.path.insert(0, str(SRC))
 
 from runge_lab.bench import METHODS  # noqa: E402
 
+# name -> argv of a command the CLI refuses as a usage error
+REFUSED = {
+    "figure-all-grid-size-1": ("--grid-size", "1", "figure", "all"),
+    "figure-all-n-samples-1": ("figure", "all", "--n-samples", "1"),
+    "figure-3-n-samples-31": ("figure", "3", "--n-samples", "31"),
+    "run-ridge-degree-0": ("run", "--method", "ridge", "--degree", "0"),
+    "run-tisi-n-samples-5": ("run", "--method", "tisi", "--n-samples", "5"),
+    "sweep-lagrange-grid-1-5": ("sweep", "--method", "lagrange", "--grid", "1,5"),
+    "sweep-tisi-grid-5": ("sweep", "--method", "tisi", "--grid", "5"),
+}
+
+
+def _run(argv, **kwargs) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "runge_lab.cli", *argv], env=env, stdout=subprocess.PIPE, **kwargs)
+
 
 def _cli(*argv: str) -> bytes:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "runge_lab.cli", *argv], env=env, stdout=subprocess.PIPE, check=True
-    )
-    return done.stdout
+    return _run(argv, check=True).stdout
 
 
 def _sha(data: bytes) -> str:
@@ -60,6 +75,9 @@ def manifest(out_dir: Path) -> list[tuple[str, str]]:
                 continue  # a method that samples the target itself takes no sample count
             stdout = _cli("--out", str(out_dir / sub), *argv, method)
             rows.append((_sha(stdout.replace(str(out_dir).encode(), b"<out>")), f"{sub}/{method}.stdout"))
+    for name, argv in REFUSED.items():
+        done = _run(("--out", str(out_dir / "refused"), *argv), stderr=subprocess.PIPE)
+        rows.append((_sha(b"exit=%d\n" % done.returncode + done.stderr), f"refused/{name}.stderr"))
     rows += [
         (_sha(path.read_bytes()), path.relative_to(out_dir).as_posix())
         for path in out_dir.rglob("*")

@@ -15,12 +15,13 @@ def main() -> int:
     parser.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
     args = parser.parse_args()
     out = args.out or bench.default_output_dir()
-    if args.grid_size < 2:
-        print(f"error: --grid-size must be at least 2, got {args.grid_size}", file=sys.stderr)
+    try:
+        figures = bench.run_figures(bench.SUPPORTED_FIGURES, args.grid_size, output_dir=out, emit_svg_file=True)
+    except bench.UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     print(f"{'figure':>6}  {'method':<28} {'max_abs':>12} {'rms':>12} {'endpoint':>12}")
-    figures = bench.run_figures(bench.SUPPORTED_FIGURES, args.grid_size, output_dir=out, emit_svg_file=True)
     for fid, bundle in figures:
         for r in bundle.reports:
             print(f"{fid:>6}  {r.method:<28} {r.max_abs:>12.5g} {r.rms:>12.5g} {r.endpoint_max_abs:>12.5g}")

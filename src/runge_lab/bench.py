@@ -52,13 +52,6 @@ class ReportBundle:
             raise ValueError("curve labels must be unique")
 
 
-def _figure_error(fid) -> str:
-    msg = f"unsupported figure id {fid}; supported: {', '.join(map(str, SUPPORTED_FIGURES))}"
-    if fid in UNSUPPORTED_FIGURE_NOTE:
-        msg += f" (figure {fid}: {UNSUPPORTED_FIGURE_NOTE[fid]})"
-    return msg
-
-
 # ---------------------------------------------------------------------------
 # Method registry
 #
@@ -210,7 +203,8 @@ def check_inputs(name: str, given) -> None:
 @dataclass(frozen=True)
 class FitSpec:
     """One labelled fit: a registered method with the parameters set for it,
-    fitted to n_samples samples of a node family."""
+    fitted to n_samples samples of a node family. An n_samples below 2 or a
+    degree below 1 raises UsageError."""
 
     label: str
     method: str
@@ -218,6 +212,12 @@ class FitSpec:
     n_samples: int = 11
     degree: int | None = 10  # None: _fit's default degree for n_samples
     family: NodeFamily | None = None  # None: the method's own
+
+    def __post_init__(self):
+        if self.n_samples < 2:
+            raise UsageError(f"n_samples must be at least 2, got {self.n_samples}")
+        if self.degree is not None and self.degree < 1:
+            raise UsageError(f"degree must be at least 1, got {self.degree}")
 
 
 @dataclass(frozen=True)
@@ -280,6 +280,7 @@ FIGURES: dict[int, FigureSpec] = {
     13: _svd_figure(family=NodeFamily.CHEBYSHEV_ROOTS),
 }
 SUPPORTED_FIGURES = tuple(FIGURES)
+RESIZABLE_FIGURES = tuple(fid for fid, spec in FIGURES.items() if spec.resizable)
 
 
 # ---------------------------------------------------------------------------
@@ -287,34 +288,41 @@ SUPPORTED_FIGURES = tuple(FIGURES)
 
 
 def _fit(spec: FitSpec, f: TargetFunction, interval: Interval):
-    """(approximant, named point sets) of one fit spec; an unset degree is max(n_samples - 1, 1)."""
+    """(approximant, named point sets) of one fit spec; an unset degree is n_samples - 1."""
     info = _method(spec.method)
     params = _coerce_params(info, spec.params)
     family = NODE_FAMILIES[spec.family or info.family]
     samples = f.sample(family(spec.n_samples, interval)) if "n_samples" in info.inputs else None
-    degree = max(spec.n_samples - 1, 1) if spec.degree is None else spec.degree
+    degree = spec.n_samples - 1 if spec.degree is None else spec.degree
     return info.build(samples, f, degree, interval, **params)
 
 
-def _score(spec: FitSpec, f: TargetFunction, interval: Interval, xs: np.ndarray, truth: np.ndarray):
-    """(values on xs, report labelled spec.label, named point sets) of one fit,
-    scored as metrics.error_report would against `truth`, f on the grid `xs`."""
-    approx, points = _fit(spec, f, interval)
+def _grid(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The scoring grid, grid_size points on [-1, 1], and the Runge function on it."""
+    if grid_size < 2:
+        raise UsageError(f"grid_size must be at least 2, got {grid_size}")
+    xs = np.linspace(Interval().lo, Interval().hi, grid_size)
+    return xs, RUNGE(xs)
+
+
+def _score(spec: FitSpec, xs: np.ndarray, truth: np.ndarray):
+    """(values on xs, report labelled spec.label, named point sets) of one fit
+    of the Runge function, scored as metrics.error_report would on _grid's xs, truth."""
+    approx, points = _fit(spec, RUNGE, Interval())
     ys = approx.evaluate(xs)
-    return ys, metrics.grid_report(xs, truth, ys, interval, approx.n_params, spec.label), points
+    return ys, metrics.grid_report(xs, truth, ys, Interval(), approx.n_params, spec.label), points
 
 
-def _bundle(figure: FigureSpec, f: TargetFunction, interval: Interval, grid_size: int) -> ReportBundle:
+def _bundle(figure: FigureSpec, grid_size: int) -> ReportBundle:
     """Truth + one curve and error report per fit, and the figure's markers.
 
     The target is called on the grid once per figure and _score fits,
     evaluates and scores each fit against that truth. Cost is one target call
     and one evaluate per fit on the grid, beyond the fits themselves."""
-    xs = np.linspace(interval.lo, interval.hi, grid_size)
-    truth = f(xs)
-    curves, reports, points = [Curve(f.name, xs, truth)], [], {}
+    xs, truth = _grid(grid_size)
+    curves, reports, points = [Curve(RUNGE.name, xs, truth)], [], {}
     for spec in figure.fits:
-        ys, report, points[spec.label] = _score(spec, f, interval, xs, truth)
+        ys, report, points[spec.label] = _score(spec, xs, truth)
         curves.append(Curve(spec.label, xs, ys))
         reports.append(report)
     markers = [
@@ -332,7 +340,7 @@ def run_experiment(
     """One fit of the Runge function as a one-fit figure on [-1, 1], marking the
     nodes it was fitted to; the files are named after its method."""
     figure = FigureSpec((fit,), (("sample nodes", fit.label, "nodes"),))
-    bundle = _bundle(figure, RUNGE, Interval(), grid_size)
+    bundle = _bundle(figure, grid_size)
     if output_dir is not None:
         emit_csv(bundle, Path(output_dir) / f"{fit.method}.csv")
         if emit_svg_file:
@@ -340,24 +348,28 @@ def run_experiment(
     return bundle
 
 
-def run_figure(
-    figure_id: int,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    n_samples: int | None = None,
-) -> ReportBundle:
-    """Reproduce one of the paper-style figures as curves plus error reports;
-    `n_samples` resizes every fit of a resizable figure. run_figures writes
-    the files."""
+def _figure(figure_id: int, n_samples: int | None) -> FigureSpec:
+    """The figure `figure_id`, every fit resized to `n_samples` unless it is None."""
     if figure_id not in SUPPORTED_FIGURES:
-        raise UsageError(_figure_error(figure_id))
+        msg = f"unsupported figure id {figure_id}; supported: {', '.join(map(str, SUPPORTED_FIGURES))}"
+        if figure_id in UNSUPPORTED_FIGURE_NOTE:
+            msg += f" (figure {figure_id}: {UNSUPPORTED_FIGURE_NOTE[figure_id]})"
+        raise UsageError(msg)
     figure = FIGURES[figure_id]
     if n_samples is not None:
         if not figure.resizable:
-            resizable = ", ".join(str(fid) for fid, spec in FIGURES.items() if spec.resizable)
+            resizable = ", ".join(map(str, RESIZABLE_FIGURES))
             raise UsageError(f"figure {figure_id} has fixed sample counts; resizable: {resizable}")
         fits = tuple(dataclasses.replace(spec, n_samples=n_samples) for spec in figure.fits)
         figure = dataclasses.replace(figure, fits=fits)
-    return _bundle(figure, RUNGE, Interval(), grid_size)
+    return figure
+
+
+def run_figure(figure_id: int, grid_size: int = DEFAULT_GRID_SIZE, n_samples: int | None = None) -> ReportBundle:
+    """Reproduce one of the paper-style figures as curves plus error reports;
+    `n_samples` resizes every fit of a resizable figure. run_figures writes
+    the files."""
+    return _bundle(_figure(figure_id, n_samples), grid_size)
 
 
 def run_figures(
@@ -367,14 +379,21 @@ def run_figures(
     output_dir: str | None = None,
     emit_svg_file: bool = False,
 ):
-    """Yield (figure id, bundle) of each of `ids` after writing it to
+    """Iterate over (figure id, bundle) of each of `ids`, each written to
     `output_dir` as figure<id>.csv, and .svg with `emit_svg_file`, unless the
     directory is None; across several ids `n_samples` resizes only the
-    resizable figures."""
+    resizable figures. Every input is checked on the call, before any fit."""
+    sizes = [(fid, n_samples if len(ids) == 1 or fid in RESIZABLE_FIGURES else None) for fid in ids]
+    for fid, n in sizes:
+        _figure(fid, n)
+    _grid(grid_size)
+    return _write_figures(sizes, grid_size, output_dir, emit_svg_file)
+
+
+def _write_figures(sizes, grid_size, output_dir, emit_svg_file):
     column_text = {}  # the figures share their grid and truth, and some their curves: format each once
-    for fid in ids:
-        resize = len(ids) == 1 or (fid in FIGURES and FIGURES[fid].resizable)
-        bundle = run_figure(fid, grid_size, n_samples if resize else None)
+    for fid, n in sizes:
+        bundle = run_figure(fid, grid_size, n)
         if output_dir is not None:
             emit_csv(bundle, Path(output_dir) / f"figure{fid}.csv", column_text=column_text)
             if emit_svg_file:
@@ -588,22 +607,17 @@ def read_curve_csv(path) -> list[Curve]:
 def sweep(method: str, grid, grid_size: int = DEFAULT_GRID_SIZE) -> list[metrics.StudyEntry]:
     """One report `<method>[<n>]` of the Runge function per sample count n, all
     on one grid; a count whose fit, evaluate or score raises records the error.
-    An empty `grid` or a grid_size below 2 raises ValueError."""
+    An empty `grid`, a count or a grid_size below 2 raises UsageError before any fit."""
     check_inputs(method, ("n_samples",))
-    grid = list(grid)
-    if not grid:
-        raise ValueError("param grid must be non-empty")
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
-    interval = Interval()
-    xs = np.linspace(interval.lo, interval.hi, grid_size)
-    truth = RUNGE(xs)
+    specs = [FitSpec(f"{method}[{n}]", method, n_samples=n, degree=None) for n in grid]
+    if not specs:
+        raise UsageError("a sweep needs at least one sample count")
+    xs, truth = _grid(grid_size)
     entries = []
-    for n in grid:
-        spec = FitSpec(f"{method}[{n}]", method, n_samples=n, degree=None)
+    for spec in specs:
         try:
-            _, report, _ = _score(spec, RUNGE, interval, xs, truth)
-            entries.append(metrics.StudyEntry(n, report))
+            _, report, _ = _score(spec, xs, truth)
+            entries.append(metrics.StudyEntry(spec.n_samples, report))
         except Exception as exc:  # record, keep going
-            entries.append(metrics.StudyEntry(n, None, f"{type(exc).__name__}: {exc}"))
+            entries.append(metrics.StudyEntry(spec.n_samples, None, f"{type(exc).__name__}: {exc}"))
     return entries

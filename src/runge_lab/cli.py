@@ -15,9 +15,6 @@ from .bench import FitSpec, UsageError, default_output_dir
 from .linalg import NumericError
 from .metrics import DEFAULT_GRID_SIZE
 
-# run inputs besides method parameters, each a FitSpec field -> its least value
-_FIT_FIELDS = {"n_samples": 2, "degree": 1}
-
 
 def _parse_kv_params(pairs):
     params = {}
@@ -77,14 +74,10 @@ def _build_parser():
 
 
 def _cmd_figure(args, out_dir):
-    ids = list(bench.SUPPORTED_FIGURES) if args.figure_id == "all" else None
-    if ids is None:
-        try:
-            ids = [int(args.figure_id)]
-        except ValueError:
-            raise UsageError(f"figure id must be an integer or 'all', got {args.figure_id!r}")
-    if args.n_samples is not None and args.n_samples < _FIT_FIELDS["n_samples"]:
-        raise UsageError(f"--n-samples must be at least {_FIT_FIELDS['n_samples']}, got {args.n_samples}")
+    try:
+        ids = bench.SUPPORTED_FIGURES if args.figure_id == "all" else [int(args.figure_id)]
+    except ValueError:
+        raise UsageError(f"figure id must be an integer or 'all', got {args.figure_id!r}")
     for fid, bundle in bench.run_figures(ids, args.grid_size, args.n_samples, out_dir, args.svg):
         for r in bundle.reports:
             print(f"figure {fid}: {r.method}: max_abs={r.max_abs:.6g} rms={r.rms:.6g}")
@@ -94,7 +87,7 @@ def _cmd_figure(args, out_dir):
 def _cmd_run(args, out_dir):
     """Each run input comes from its command-line flag, else from the config
     file, else from FitSpec's default."""
-    keys = ("method", *_FIT_FIELDS)
+    keys = ("method", "n_samples", "degree")
     params = _read_config_file(args.config) if args.config else {}
     inputs = {key: params.pop(key) for key in keys if key in params}
     inputs.update({key: getattr(args, key) for key in keys if getattr(args, key) is not None})
@@ -106,16 +99,8 @@ def _cmd_run(args, out_dir):
         sizes = {key: int(value) for key, value in inputs.items()}
     except ValueError as exc:
         raise UsageError(f"{args.config}: n_samples and degree must be integers ({exc})")
-    for key, value in sizes.items():
-        if value < _FIT_FIELDS[key]:
-            raise UsageError(f"{key} must be at least {_FIT_FIELDS[key]}, got {value}")
     bench.check_inputs(method, sizes)
-    bundle = bench.run_experiment(
-        FitSpec(method, method, params, **sizes),
-        grid_size=args.grid_size,
-        output_dir=out_dir,
-        emit_svg_file=args.svg,
-    )
+    bundle = bench.run_experiment(FitSpec(method, method, params, **sizes), args.grid_size, out_dir, args.svg)
     for r in bundle.reports:
         print(f"{r.method}: n_params={r.n_params} max_abs={r.max_abs:.6g} rms={r.rms:.6g}")
     print(f"outputs written to {out_dir}")
@@ -126,10 +111,6 @@ def _cmd_sweep(args, out_dir):
         grid = [int(v) for v in args.grid.split(",") if v.strip()]
     except ValueError:
         raise UsageError(f"--grid expects comma-separated integers, got {args.grid!r}")
-    if not grid:
-        raise UsageError("--grid must name at least one sample count")
-    if min(grid) < 1:
-        raise UsageError(f"--grid sample counts must be at least 1, got {min(grid)}")
     entries = bench.sweep(args.method, grid, grid_size=args.grid_size)
     path = Path(out_dir) / f"sweep_{args.method}.csv"
     bench.emit_sweep_csv(entries, path)
@@ -156,8 +137,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out_dir = args.out or default_output_dir()
     try:
-        if args.grid_size < 2:
-            raise UsageError(f"--grid-size must be at least 2, got {args.grid_size}")
         if args.command == "figure":
             _cmd_figure(args, out_dir)
         elif args.command == "run":

@@ -717,10 +717,13 @@ def test_sweep_evaluates_each_fit_and_the_target_once(monkeypatch, method):
     assert [dataclasses.astuple(e.report) for e in scored] == [dataclasses.astuple(r) for r in want]
 
 
-def test_sweep_records_a_one_root_chebyshev_fit_as_failed():
-    one, five = bench.sweep("chebyshev", [1, 5])
-    assert one.report is None and "need at least two samples" in one.error
-    assert five.report is not None
+def test_sweep_refuses_a_one_sample_count_before_any_fit(monkeypatch):
+    fits = []
+    monkeypatch.setattr(bench, "_fit", lambda *args: fits.append(args))
+    for grid in ([1, 5], [5, 1]):
+        with pytest.raises(UsageError, match="^n_samples must be at least 2, got 1$"):
+            bench.sweep("chebyshev", grid)
+    assert fits == []
 
 
 def test_default_output_dir_env(monkeypatch):

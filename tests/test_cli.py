@@ -58,14 +58,14 @@ def test_cli_run_config_file(tmp_path):
 
 def test_cli_bad_numeric_input_exits_2(tmp_path, capsys):
     runs = [
-        (["--grid-size", "1", "figure", "1"], "--grid-size"),
-        (["--grid-size", "1", "run", "--method", "lagrange"], "--grid-size"),
+        (["--grid-size", "1", "figure", "1"], "grid_size must be at least 2, got 1"),
+        (["--grid-size", "1", "run", "--method", "lagrange"], "grid_size must be at least 2, got 1"),
     ]
     runs += [
         (["figure", "3", "--n-samples", "31"], "fixed sample counts"),
-        (["figure", "12", "--n-samples", "0"], "--n-samples"),
-        (["figure", "all", "--n-samples", "1"], "--n-samples"),
-        (["sweep", "--method", "chebyshev", "--grid", "1,0,-2"], "--grid"),
+        (["figure", "12", "--n-samples", "0"], "n_samples must be at least 2, got 0"),
+        (["figure", "all", "--n-samples", "1"], "n_samples must be at least 2, got 1"),
+        (["sweep", "--method", "chebyshev", "--grid", "1,0,-2"], "n_samples must be at least 2, got 1"),
         (["run", "--method", "lagrange", "--n-samples", "1"], "n_samples must be at least 2"),
         (["run", "--method", "chebyshev", "--n-samples", "0"], "n_samples must be at least 2"),
         (["run", "--method", "ridge", "--degree", "-1"], "degree must be at least 1"),

@@ -60,6 +60,6 @@ def test_reproduce_figures_refuses_a_grid_below_two_points_as_the_cli_does(tmp_p
     monkeypatch.setattr(sys, "argv", ["reproduce_figures.py", "--out", str(tmp_path), "--grid-size", grid_size])
     assert _load("reproduce_figures").main() == 2
     script = capsys.readouterr()
-    assert script.err == cli.err == f"error: --grid-size must be at least 2, got {grid_size}\n"
+    assert script.err == cli.err == f"error: grid_size must be at least 2, got {grid_size}\n"
     assert script.out == ""  # refused before the table header
     assert not any(tmp_path.iterdir())  # and nothing written
