@@ -11,7 +11,8 @@ under the output directory), one for the stdout of ``figure all`` and of each
 ``run`` and ``sweep`` (named ``figure.stdout``, ``run/M.stdout`` and
 ``sweep/M.stdout``, with the output directory written as ``<out>``) and one for
 the stdout of ``list-methods``. Each of those commands must exit 0. Last, it
-runs each command of ``REFUSED``, a usage error, with ``--out`` under
+runs each command of ``REFUSED``, which the CLI refuses with exit 2 (a usage
+error) or 1 (a fit or a file write that fails), with ``--out`` under
 ``refused/``, and hashes ``exit=<code>`` and a newline followed by its stderr as
 ``refused/<name>.stderr``. Run it before and after a refactor and ``diff`` the
 two manifests; a line that differs names an output that changed.
@@ -36,7 +37,7 @@ sys.path.insert(0, str(SRC))
 
 from runge_lab.bench import METHODS  # noqa: E402
 
-# name -> argv of a command the CLI refuses as a usage error
+# name -> argv of a command the CLI refuses, with exit 2 or 1
 REFUSED = {
     "figure-all-grid-size-1": ("--grid-size", "1", "figure", "all"),
     "figure-all-n-samples-1": ("figure", "all", "--n-samples", "1"),
@@ -45,6 +46,9 @@ REFUSED = {
     "run-tisi-n-samples-5": ("run", "--method", "tisi", "--n-samples", "5"),
     "sweep-lagrange-grid-1-5": ("sweep", "--method", "lagrange", "--grid", "1,5"),
     "sweep-tisi-grid-5": ("sweep", "--method", "tisi", "--grid", "5"),
+    "run-ridge-param-alpha": ("run", "--method", "ridge", "--param", "alpha"),
+    "run-efci-param-m-3": ("run", "--method", "efci", "--param", "m=3"),
+    "figure-10": ("figure", "10"),
 }
 
 

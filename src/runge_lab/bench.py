@@ -8,6 +8,7 @@ import dataclasses
 import enum
 import io
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -203,8 +204,9 @@ def check_inputs(name: str, given) -> None:
 @dataclass(frozen=True)
 class FitSpec:
     """One labelled fit: a registered method with the parameters set for it,
-    fitted to n_samples samples of a node family. An n_samples below 2 or a
-    degree below 1 raises UsageError."""
+    fitted to n_samples samples of a node family. An n_samples or degree that
+    is not an integer, an n_samples below 2 or a degree below 1 raises
+    UsageError."""
 
     label: str
     method: str
@@ -214,10 +216,19 @@ class FitSpec:
     family: NodeFamily | None = None  # None: the method's own
 
     def __post_init__(self):
-        if self.n_samples < 2:
+        if _integer("n_samples", self.n_samples) < 2:
             raise UsageError(f"n_samples must be at least 2, got {self.n_samples}")
-        if self.degree is not None and self.degree < 1:
+        if self.degree is not None and _integer("degree", self.degree) < 1:
             raise UsageError(f"degree must be at least 1, got {self.degree}")
+
+
+def _integer(name: str, value) -> int:
+    """`value` as an int: a Python or numpy integer passes, anything else
+    (a float, a string) raises UsageError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -298,8 +309,9 @@ def _fit(spec: FitSpec, f: TargetFunction, interval: Interval):
 
 
 def _grid(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The scoring grid, grid_size points on [-1, 1], and the Runge function on it."""
-    if grid_size < 2:
+    """The scoring grid, grid_size points on [-1, 1], and the Runge function on it;
+    a grid_size that is not an integer or is below 2 raises UsageError."""
+    if _integer("grid_size", grid_size) < 2:
         raise UsageError(f"grid_size must be at least 2, got {grid_size}")
     xs = np.linspace(Interval().lo, Interval().hi, grid_size)
     return xs, RUNGE(xs)
@@ -341,10 +353,7 @@ def run_experiment(
     nodes it was fitted to; the files are named after its method."""
     figure = FigureSpec((fit,), (("sample nodes", fit.label, "nodes"),))
     bundle = _bundle(figure, grid_size)
-    if output_dir is not None:
-        emit_csv(bundle, Path(output_dir) / f"{fit.method}.csv")
-        if emit_svg_file:
-            emit_svg(bundle, Path(output_dir) / f"{fit.method}.svg")
+    _write(bundle, output_dir, fit.method, emit_svg_file)
     return bundle
 
 
@@ -394,11 +403,16 @@ def _write_figures(sizes, grid_size, output_dir, emit_svg_file):
     column_text = {}  # the figures share their grid and truth, and some their curves: format each once
     for fid, n in sizes:
         bundle = run_figure(fid, grid_size, n)
-        if output_dir is not None:
-            emit_csv(bundle, Path(output_dir) / f"figure{fid}.csv", column_text=column_text)
-            if emit_svg_file:
-                emit_svg(bundle, Path(output_dir) / f"figure{fid}.svg")
+        _write(bundle, output_dir, f"figure{fid}", emit_svg_file, column_text)
         yield fid, bundle
+
+
+def _write(bundle, output_dir, stem, emit_svg_file, column_text=None):
+    """Write `bundle` as <output_dir>/<stem>.csv, and .svg with `emit_svg_file`, unless output_dir is None."""
+    if output_dir is not None:
+        emit_csv(bundle, Path(output_dir) / f"{stem}.csv", column_text=column_text)
+        if emit_svg_file:
+            emit_svg(bundle, Path(output_dir) / f"{stem}.svg")
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +529,11 @@ def _tick(bound: float, shrink: float) -> str:
     return f"{bound:.2f}" if shrink == 1.0 else f"{int(bound) * int(shrink)}.00"
 
 
+def _text(x, y, s) -> str:
+    """A 12-point monospace SVG text element at (x, y)."""
+    return f'<text x="{x}" y="{y}" font-size="12" font-family="monospace">{s}</text>\n'
+
+
 def emit_svg(bundle: ReportBundle, path) -> None:
     """Standalone SVG 1.1, 800x500, axes auto-scaled with 5% padding, one
     polyline per curve, legend, circle markers for sample nodes. Byte output is
@@ -554,13 +573,10 @@ def emit_svg(bundle: ReportBundle, path) -> None:
         f'viewBox="0 0 {_VIEW_W} {_VIEW_H}">\n',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="white" stroke="#333333" stroke-width="1"/>\n',
-        f'<text x="{_MARGIN_L}" y="{_VIEW_H - 10}" font-size="12" font-family="monospace">'
-        f"{_tick(x_lo, x_shrink)}</text>\n",
-        f'<text x="{_VIEW_W - _MARGIN_R - 40}" y="{_VIEW_H - 10}" font-size="12" '
-        f'font-family="monospace">{_tick(x_hi, x_shrink)}</text>\n',
-        f'<text x="5" y="{_MARGIN_T + 12}" font-size="12" font-family="monospace">{_tick(y_hi, y_shrink)}</text>\n',
-        f'<text x="5" y="{_VIEW_H - _MARGIN_B}" font-size="12" font-family="monospace">'
-        f"{_tick(y_lo, y_shrink)}</text>\n",
+        _text(_MARGIN_L, _VIEW_H - 10, _tick(x_lo, x_shrink)),
+        _text(_VIEW_W - _MARGIN_R - 40, _VIEW_H - 10, _tick(x_hi, x_shrink)),
+        _text(5, _MARGIN_T + 12, _tick(y_hi, y_shrink)),
+        _text(5, _VIEW_H - _MARGIN_B, _tick(y_lo, y_shrink)),
     ]
     legend = []
     polyline_points = {}  # the finite points of a curve, as bytes -> its points attribute
@@ -587,7 +603,7 @@ def emit_svg(bundle: ReportBundle, path) -> None:
             shapes.append(circle * (hi - lo) % tuple(coords[2 * lo : 2 * hi]))
             legend.append(f'<circle cx="{lx + 15}" cy="{ly - 4}" r="3" fill="{color}"/>\n')
         label = s.label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        legend.append(f'<text x="{lx + 36}" y="{ly}" font-size="12" font-family="monospace">{label}</text>\n')
+        legend.append(_text(lx + 36, ly, label))
     _atomic_write(Path(path), "".join([*shapes, *legend, "</svg>\n"]).encode("utf-8"))
 
 

@@ -16,32 +16,26 @@ from .linalg import NumericError
 from .metrics import DEFAULT_GRID_SIZE
 
 
+def _split_kv(text, error):
+    """(key, value) of a `key=value` text, each stripped; without '=' raises UsageError(error)."""
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise UsageError(error)
+    return key.strip(), value.strip()
+
+
 def _parse_kv_params(pairs):
-    params = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise UsageError(f"--param expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        params[key.strip()] = value.strip()
-    return params
+    return dict(_split_kv(pair, f"--param expects key=value, got {pair!r}") for pair in pairs or [])
 
 
 def _read_config_file(path):
     """Flat `key = value` lines; '#' starts a comment."""
-    params = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        params[key.strip()] = value.strip()
-    return params
+    lines = enumerate((line.split("#", 1)[0].strip() for line in text.splitlines()), 1)
+    return dict(_split_kv(line, f"{path}:{lineno}: expected 'key = value'") for lineno, line in lines if line)
 
 
 def _build_parser():
@@ -55,10 +49,12 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fig = sub.add_parser("figure", help="reproduce a paper-style figure")
+    p_fig.set_defaults(handler=_cmd_figure)
     p_fig.add_argument("figure_id", help="figure id, or 'all'")
     p_fig.add_argument("--n-samples", type=int, help="sample count of every fit of a resizable figure")
 
     p_run = sub.add_parser("run", help="run one method")
+    p_run.set_defaults(handler=_cmd_run)
     p_run.add_argument("--method", help="method name (see list-methods)")
     p_run.add_argument("--param", action="append", metavar="KEY=VALUE", help="method parameter")
     p_run.add_argument("--n-samples", type=int)
@@ -66,10 +62,12 @@ def _build_parser():
     p_run.add_argument("--config", help="flat key=value config file; a flag overrides its key")
 
     p_sweep = sub.add_parser("sweep", help="convergence sweep over sample counts")
+    p_sweep.set_defaults(handler=_cmd_sweep)
     p_sweep.add_argument("--method", required=True)
     p_sweep.add_argument("--grid", required=True, help="comma-separated sample counts, e.g. 5,10,15,20")
 
-    sub.add_parser("list-methods", help="list registered methods and parameters")
+    p_list = sub.add_parser("list-methods", help="list registered methods and parameters")
+    p_list.set_defaults(handler=_cmd_list_methods)
     return parser
 
 
@@ -120,7 +118,7 @@ def _cmd_sweep(args, out_dir):
     print(f"outputs written to {path}")
 
 
-def _cmd_list_methods():
+def _cmd_list_methods(args, out_dir):
     for name in sorted(bench.METHODS):
         info = bench.METHODS[name]
         # an enum-valued parameter takes one of its members' string values
@@ -137,20 +135,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out_dir = args.out or default_output_dir()
     try:
-        if args.command == "figure":
-            _cmd_figure(args, out_dir)
-        elif args.command == "run":
-            _cmd_run(args, out_dir)
-        elif args.command == "sweep":
-            _cmd_sweep(args, out_dir)
-        else:
-            _cmd_list_methods()
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args.handler(args, out_dir)
     except (NumericError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
     return 0
 
 

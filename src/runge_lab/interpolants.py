@@ -226,14 +226,8 @@ def efci_fit(samples: SampleSet, f: TargetFunction, cfg: EfciConfig):
         raise ValueError("degree must be >= 2 to carry curvature constraints")
     if cfg.epsilon >= samples.interval.width / 2:
         raise ValueError("epsilon must be smaller than half the interval width")
-    if not cfg.search:
-        return _efci_single(samples, f, cfg, cfg.m)
-    best = None
-    for m in (2, 4, 6, 8, 10):
-        candidate = _efci_single(samples, f, cfg, m)
-        if best is None or candidate[2] < best[2]:
-            best = candidate
-    return best
+    counts = (2, 4, 6, 8, 10) if cfg.search else (cfg.m,)
+    return min((_efci_single(samples, f, cfg, m) for m in counts), key=lambda candidate: candidate[2])
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +266,7 @@ def constrained_mock_chebyshev_lstsq(
     C = A[idx]
     d = full.ys[idx]
     p = ls_degree + 1
-    kkt = np.zeros((p + k, p + k))
-    kkt[:p, :p] = 2.0 * A.T @ A
-    kkt[:p, p:] = C.T
-    kkt[p:, :p] = C
+    kkt = np.block([[2.0 * A.T @ A, C.T], [C, np.zeros((k, k))]])
     rhs = np.concatenate([2.0 * A.T @ full.ys, d])
     try:
         sol = np.linalg.solve(kkt, rhs)

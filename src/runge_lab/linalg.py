@@ -138,13 +138,16 @@ def truncated_pinv_solve(A: np.ndarray, y: np.ndarray, threshold: float) -> tupl
 
 
 def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Thomas algorithm for a tridiagonal system. Both recurrences run on
-    Python floats, which round exactly as float64 scalars do, without the
-    cost of indexing numpy scalars."""
+    """Thomas algorithm for a tridiagonal system; a non-finite band entry raises
+    ValueError, where the solve would return NaN without a signal. Both
+    recurrences run on Python floats, which round exactly as float64 scalars
+    do, without the cost of indexing numpy scalars."""
     sub, diag, sup, rhs = (np.asarray(v, dtype=float) for v in (sub, diag, sup, rhs))
     n = len(diag)
     if len(rhs) != n or len(sub) != n - 1 or len(sup) != n - 1:
         raise ValueError("band lengths inconsistent with system size")
+    if not all(np.isfinite(v).all() for v in (sub, diag, sup, rhs)):
+        raise ValueError("tridiagonal system must be finite")
     sub, diag, sup, rhs = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
     c = [0.0] * (n - 1)
     d = [0.0] * n
@@ -217,19 +220,21 @@ def elastic_net_cd(
 
     Stops once the largest coordinate change in a full sweep drops below tol.
     Non-convergence is reported in the result, not raised; ``kkt_residual``
-    is the largest subgradient violation at the returned coefficients.
+    is the largest subgradient violation at the returned coefficients. The
+    system is checked as :func:`lstsq` checks it; a finite system whose Gram
+    form G or c overflows raises :class:`NumericError`.
     """
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if A.ndim != 2 or A.shape[0] != len(y) or A.shape[0] < 1:
-        raise ValueError("A rows must match rhs length")
+    A, y = _system(A, y)
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     if not alpha >= 0:
         raise ValueError("alpha must be >= 0")
     n_obs, p = A.shape
-    G = A.T @ A / n_obs
-    c = A.T @ y / n_obs
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = A.T @ A / n_obs
+        c = A.T @ y / n_obs
+    if not (np.isfinite(G).all() and np.isfinite(c).all()):
+        raise NumericError("Gram form of the elastic-net system overflows")
     lam1 = alpha * rho
     lam2 = alpha * (1.0 - rho)
     z = G.diagonal() + lam2

@@ -48,6 +48,35 @@ def test_cli_run_bad_param(tmp_path, capsys):
         assert listed in capsys.readouterr().err
 
 
+# argv -> (exit code, stderr): a UsageError exits 2, any other ValueError, a NumericError or an OSError 1
+EXITS = {
+    ("run", "--method", "ridge", "--param", "alpha"): (2, "error: --param expects key=value, got 'alpha'\n"),
+    ("run", "--method", "efci", "--param", "m=3"): (1, "error: m must be an even integer >= 2\n"),
+}
+
+
+@pytest.mark.parametrize("argv", EXITS)
+def test_cli_exit_code_and_message(tmp_path, capsys, argv):
+    assert main(["--out", str(tmp_path), *argv]) == EXITS[argv][0]
+    assert capsys.readouterr() == ("", EXITS[argv][1])
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_write_that_fails_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["--out", str(blocker / "out"), "run", "--method", "ridge"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and str(blocker / "out") in err
+
+
+def test_cli_config_line_without_equals_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("method = ridge\n\n# alpha follows\nalpha 0.1\n")
+    assert main(["--out", str(tmp_path / "out"), "run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"error: {cfg}:4: expected 'key = value'\n")
+
+
 def test_cli_run_config_file(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("# demo config\nmethod = tikhonov\ndegree = 12\nlam = 0.01\n")

@@ -284,6 +284,8 @@ def test_non_finite_system_is_refused_before_the_svd(bad, where, capfd):
         truncated_pinv_solve(A, y, 0.1)
     with pytest.raises(ValueError, match="must be finite"):
         svd(np.column_stack([A, y]))  # not NumericError("SVD failed to converge")
+    with pytest.raises(ValueError, match="must be finite"):
+        elastic_net_cd(A, y, 0.1, 0.5)  # not NaN coefficients marked converged
     assert capfd.readouterr() == ("", "")
 
 
@@ -353,6 +355,15 @@ def test_tridiagonal_zero_pivot():
         solve_tridiagonal([1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0], [1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("band", range(4))
+def test_tridiagonal_refuses_a_non_finite_band(bad, band):
+    bands = [[1.0], [2.0, 2.0], [1.0], [3.0, 3.0]]
+    bands[band][0] = bad
+    with pytest.raises(ValueError, match="^tridiagonal system must be finite$"):
+        solve_tridiagonal(*bands)
+
+
 def test_cd_alpha_zero_matches_lstsq():
     A = design_matrix(equispaced(11), 4, Basis.MONOMIAL)
     y = rng.normal(size=11)
@@ -394,6 +405,19 @@ def test_cd_input_validation():
         elastic_net_cd(np.eye(2), [1.0, 1.0], alpha=0.1, rho=1.5)
     with pytest.raises(ValueError):
         elastic_net_cd(np.eye(2), [1.0, 1.0], alpha=-1.0, rho=0.5)
+
+
+@pytest.mark.parametrize("where", ["A", "y"])
+def test_cd_refuses_a_finite_system_whose_gram_form_overflows(where):
+    # every entry is finite, but A^T A overflows (A of 1e200) or only A^T y does (A of 1e100, y of 1e250)
+    A, y = rng.normal(size=(10, 3)), rng.normal(size=10)
+    if where == "A":
+        A *= 1e200
+    else:
+        A *= 1e100
+        y *= 1e250
+    with pytest.raises(NumericError, match="Gram form"):
+        elastic_net_cd(A, y, alpha=0.1, rho=0.5)
 
 
 def test_cd_non_convergence_flagged():

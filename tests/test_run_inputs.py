@@ -6,6 +6,7 @@ scripts/reproduce_figures.py with exit 2 and `error: <message>`."""
 import re
 import sys
 
+import numpy as np
 import pytest
 from test_scripts import _load
 
@@ -34,6 +35,35 @@ LIBRARY = {
     "n_samples-sweep": (SAMPLES, lambda out: bench.sweep("lagrange", [5, 1])),
     "degree-run_experiment": (DEGREE, lambda out: bench.run_experiment(FitSpec("ridge", "ridge", degree=0), 1001, out)),
     "empty-sweep": (EMPTY, lambda out: bench.sweep("lagrange", [])),
+    "integer-n_samples-str-run_experiment": (
+        "n_samples must be an integer, got '5'",
+        lambda out: bench.run_experiment(FitSpec("lagrange", "lagrange", n_samples="5"), output_dir=out),
+    ),
+    "integer-n_samples-float-run_experiment": (
+        "n_samples must be an integer, got 5.5",
+        lambda out: bench.run_experiment(FitSpec("lagrange", "lagrange", n_samples=5.5), output_dir=out),
+    ),
+    "integer-degree-run_experiment": (
+        "degree must be an integer, got 2.5",
+        lambda out: bench.run_experiment(FitSpec("ridge", "ridge", degree=2.5), output_dir=out),
+    ),
+    "integer-grid_size-run_experiment": (
+        "grid_size must be an integer, got 2.5",
+        lambda out: bench.run_experiment(FitSpec("ridge", "ridge"), 2.5, out, True),
+    ),
+    "integer-grid_size-run_figures": (
+        "grid_size must be an integer, got 2.5",
+        lambda out: bench.run_figures(bench.SUPPORTED_FIGURES, 2.5, None, out, True),
+    ),
+    "integer-n_samples-run_figure": (
+        "n_samples must be an integer, got 5.5",
+        lambda out: bench.run_figure(12, n_samples=5.5),
+    ),
+    "integer-n_samples-sweep": ("n_samples must be an integer, got 5.0", lambda out: bench.sweep("lagrange", [5.0])),
+    "integer-grid_size-sweep": (
+        "grid_size must be an integer, got '11'",
+        lambda out: bench.sweep("lagrange", [5], grid_size="11"),
+    ),
 }
 
 # (message, argv after --out)
@@ -66,6 +96,13 @@ def test_library_refuses_a_bad_run_input_before_any_fit(tmp_path, fits, case):
         call(str(tmp_path))
     assert fits == []
     assert not any(tmp_path.iterdir())
+
+
+def test_numpy_integer_run_inputs_are_taken():
+    spec = FitSpec("ridge", "ridge", n_samples=np.int64(11), degree=np.int32(4))
+    assert [r.n_params for r in bench.run_experiment(spec, np.int64(101)).reports] == [5]
+    entries = bench.sweep("lagrange", np.array([5, 11]), grid_size=np.int16(101))
+    assert [(e.param, e.error) for e in entries] == [(5, None), (11, None)]
 
 
 @pytest.mark.parametrize("case", COMMANDS)
