@@ -2,18 +2,20 @@
 """Print a SHA-256 manifest of the program's user-visible outputs.
 
 Runs, from the ``src/`` of the checkout this script sits in,
-``runge-lab --svg figure all``, ``runge-lab --svg run --method M`` for every
-registered method ``M`` and ``runge-lab sweep --method M --grid 5,11,21`` for
-every one that takes a sample count (into ``run/`` and ``sweep/`` under the
-output directory) and ``runge-lab list-methods``. It then prints one line
+``runge-lab --svg figure all``, ``runge-lab --svg --grid-size 2001 figure 12
+--n-samples 41`` (into ``grid2001/``), ``runge-lab --svg run --method M`` for
+every registered method ``M`` and ``runge-lab sweep --method M --grid 5,11,21``
+for every one that takes a sample count (into ``run/`` and ``sweep/`` under
+the output directory) and ``runge-lab list-methods``. It then prints one line
 ``<sha256>  <name>`` for every file those commands wrote (named by its path
-under the output directory), one for the stdout of ``figure all`` and of each
-``run`` and ``sweep`` (named ``figure.stdout``, ``run/M.stdout`` and
-``sweep/M.stdout``, with the output directory written as ``<out>``) and one for
-the stdout of ``list-methods``. Each of those commands must exit 0. Last, it
-runs each command of ``REFUSED``, which the CLI refuses with exit 2 (a usage
-error) or 1 (a fit or a file write that fails), with ``--out`` under
-``refused/``, and hashes ``exit=<code>`` and a newline followed by its stderr as
+under the output directory), one for the stdout of ``figure all``, of the
+2001-point figure and of each ``run`` and ``sweep`` (named ``figure.stdout``,
+``grid2001/figure.stdout``, ``run/M.stdout`` and ``sweep/M.stdout``, with the
+output directory written as ``<out>``) and one for the stdout of
+``list-methods``. Each of those commands must exit 0. Last, it runs each
+command of ``REFUSED``, which the CLI refuses with exit 2 (a usage error) or 1
+(a fit or a file write that fails), with ``--out`` under ``refused/``, and
+hashes ``exit=<code>`` and a newline followed by its stderr as
 ``refused/<name>.stderr``. Run it before and after a refactor and ``diff`` the
 two manifests; a line that differs names an output that changed.
 
@@ -69,6 +71,9 @@ def manifest(out_dir: Path) -> list[tuple[str, str]]:
     """(sha256 hex digest, name) for every output, sorted by name."""
     figure_stdout = _cli("--out", str(out_dir), "--svg", "figure", "all")
     rows = [(_sha(figure_stdout.replace(str(out_dir).encode(), b"<out>")), "figure.stdout")]
+    grid_argv = ("--svg", "--grid-size", "2001", "figure", "12", "--n-samples", "41")
+    grid_stdout = _cli("--out", str(out_dir / "grid2001"), *grid_argv)
+    rows.append((_sha(grid_stdout.replace(str(out_dir).encode(), b"<out>")), "grid2001/figure.stdout"))
     commands = {
         "run": ("--svg", "run", "--method"),
         "sweep": ("sweep", "--grid", "5,11,21", "--method"),

@@ -424,17 +424,22 @@ def default_output_dir() -> str:
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    """Write `data` to `path` through a temporary file in its directory, made
+    if absent; any OSError, from the directory on, is raised as one naming
+    `path`, and a temporary file already made is removed."""
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except OSError as exc:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
         raise OSError(f"failed writing {path}: {exc}") from exc
 
 
@@ -462,9 +467,11 @@ def emit_csv(bundle: ReportBundle, path, *, column_text: dict | None = None) -> 
     in `column_text` by their bytes, so 0.0 and -0.0 keep their own text, and
     only a column not found there is formatted. A caller that writes several
     files passes one dict to all of them and drops it when done; by default
-    each call has its own. Each row is its cells joined by commas; only the
+    each call has its own. Each row is its cells joined by commas, and the
+    body is one newline join of the rows with a final newline; only the
     header and the report rows go through csv.writer. Cost is one repr per
-    value of each distinct column per dict, and one join per row."""
+    value of each distinct column per dict, one comma join per row and one
+    join for the body."""
     path = Path(path)
     xs = bundle.curves[0].xs if bundle.curves else np.empty(0)
     if any(c.xs is not xs and not np.array_equal(c.xs, xs, equal_nan=True) for c in bundle.curves[1:]):
@@ -477,7 +484,7 @@ def emit_csv(bundle: ReportBundle, path, *, column_text: dict | None = None) -> 
         if key not in column_text:
             column_text[key] = _format_column(col)
         cols.append(column_text[key])
-    body = "".join(row + "\n" for row in map(",".join, zip(*cols)))
+    body = "\n".join([*map(",".join, zip(*cols)), ""])
     _write_csv(path, [["x", *(c.label for c in bundle.curves)]], body)
     header = [f.name for f in dataclasses.fields(ErrorReport)]
     reports = map(dataclasses.astuple, bundle.reports)
@@ -529,6 +536,64 @@ def _tick(bound: float, shrink: float) -> str:
     return f"{bound:.2f}" if shrink == 1.0 else f"{int(bound) * int(shrink)}.00"
 
 
+# _point_text writes each coordinate as one little-endian 8-byte word, the sum
+# of three table entries: "%d." % w in bytes 0-3 (w in 0..999, right-aligned
+# after NUL pad bytes), "%02d" % c in bytes 4-5 (c in 0..99) and the separator
+# after x or y in byte 6. Byte 7 and the pad bytes stay NUL.
+_DIGITS = np.frombuffer(b"0123456789", np.uint8)
+_WHOLE_WIDTH = np.repeat([1, 2, 3], [10, 90, 900])  # len("%d" % w)
+_WHOLE_WORD = np.zeros((1000, 8), np.uint8)
+_WHOLE_WORD[:, 0] = np.repeat(_DIGITS, 100)
+_WHOLE_WORD[:, 1] = np.tile(np.repeat(_DIGITS, 10), 10)
+_WHOLE_WORD[:, 2] = np.tile(_DIGITS, 100)
+_WHOLE_WORD[:100, 0] = _WHOLE_WORD[:10, 1] = 0  # no leading zero
+_WHOLE_WORD[:, 3] = ord(".")
+_CENTS_WORD = np.zeros((100, 8), np.uint8)
+_CENTS_WORD[:, 4] = np.repeat(_DIGITS, 10)
+_CENTS_WORD[:, 5] = np.tile(_DIGITS, 10)
+_SEP_WORD = np.zeros((2, 8), np.uint8)
+_SEP_WORD[:, 6] = (ord(","), ord(" "))
+_WHOLE_WORD, _CENTS_WORD, _SEP_WORD = (t.view("<u8")[:, 0] for t in (_WHOLE_WORD, _CENTS_WORD, _SEP_WORD))
+
+
+def _point_text(view: np.ndarray) -> tuple[str, np.ndarray]:
+    """All rows (x, y) of the finite array `view` as one string of
+    "%.2f,%.2f " per row, exactly as the %-format writes them, and the offset
+    of each row's start in it, with the string's length last.
+
+    A coordinate v is written from the digit tables when its sign bit is
+    clear, k = rint(100 v) is below 1e5 and 100 v, as computed, lies within
+    0.5 - 1e-7 of k: below 1e6 the computed product is within 1.2e-8 of the
+    exact one, so k is the exact product rounded and k / 100 is what %.2f
+    writes. A row with any other coordinate (a near-tie, -0.0, a negative
+    value or one of 1000 or more) is written by the %-format itself and
+    spliced in. Cost is a few array passes over `view`, plus one %-format
+    per such row."""
+    scaled = np.clip(view, 0.0, 1e6) * 100
+    k = np.rint(scaled)
+    exact = ~np.signbit(view) & (k < 1e5) & (np.abs(scaled - k) < 0.5 - 1e-7)
+    k[~exact] = 0
+    whole, cents = np.divmod(k.astype(np.intp), 100)
+    fast = exact[:, 0] & exact[:, 1]
+    words = _WHOLE_WORD[whole]
+    words += _CENTS_WORD[cents]
+    words += _SEP_WORD
+    words[~fast] = 0
+    text = words.astype("<u8", copy=False).tobytes().translate(None, b"\0").decode("ascii")
+    digits = _WHOLE_WIDTH[whole]
+    widths = np.where(fast, digits[:, 0] + digits[:, 1] + 8, 0)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        # the table-written text holds no slow row: splice each in where it ends
+        ends, pieces, cut = np.cumsum(widths)[slow].tolist(), [], 0
+        for i, end in zip(slow.tolist(), ends):
+            row = "%.2f,%.2f " % tuple(view[i].tolist())
+            pieces += [text[cut:end], row]
+            cut, widths[i] = end, len(row)
+        text = "".join([*pieces, text[cut:]])
+    return text, np.concatenate([[0], np.cumsum(widths)])
+
+
 def _text(x, y, s) -> str:
     """A 12-point monospace SVG text element at (x, y)."""
     return f'<text x="{x}" y="{y}" font-size="12" font-family="monospace">{s}</text>\n'
@@ -542,10 +607,13 @@ def emit_svg(bundle: ReportBundle, path) -> None:
     polyline or marker set and of the axis ranges.
 
     Every finite point of every curve and marker set is mapped to the view by
-    one numpy expression and one tolist; each polyline or circle set is then
-    written by one %-format, and a curve whose points repeat an earlier
-    curve's within the call reuses that polyline's text. Cost is one float
-    format per coordinate of each distinct curve and of each marker set."""
+    one numpy expression and written, as %.2f writes it, by one array pass
+    (_point_text) into one string; each polyline is then one slice of it and
+    each marker set one slice split into cx and cy. A coordinate that the
+    digit tables cannot write exactly (a near-tie, -0.0, a negative value or
+    one of 1000 or more) is written by a %-format. Cost is a few array passes
+    over all finite points, one %-format per point holding such a
+    coordinate, and one format per marker."""
     if not bundle.curves:
         raise ValueError("emit_svg needs at least one curve")
     series = [*bundle.curves, *bundle.node_markers]
@@ -554,7 +622,7 @@ def emit_svg(bundle: ReportBundle, path) -> None:
     xy[:, 1] = np.concatenate([s.ys for s in series])
     keep = np.isfinite(xy).all(axis=1)
     # series i owns rows starts[i]:starts[i + 1] of the finite points
-    starts = np.concatenate([[0], np.cumsum(keep)])[np.cumsum([0, *(len(s.xs) for s in series)])].tolist()
+    starts = np.concatenate([[0], np.cumsum(keep)])[np.cumsum([0, *(len(s.xs) for s in series)])]
     finite = xy[keep]
     x_lo, x_hi, x_shrink = _padded(finite[:, 0])
     y_lo, y_hi, y_shrink = _padded(finite[:, 1])
@@ -565,7 +633,8 @@ def emit_svg(bundle: ReportBundle, path) -> None:
     # Dividing by a shrink of 1 leaves every coordinate as it was.
     origin, span = np.array([x_lo, y_hi]), np.array([x_hi - x_lo, y_lo - y_hi])
     view = (_MARGIN_L, _MARGIN_T) + (finite / (x_shrink, y_shrink) - origin) / span * (plot_w, plot_h)
-    coords = view.ravel().tolist()
+    points, offsets = _point_text(view)
+    cuts = offsets[starts].tolist()  # series i is points[cuts[i] : cuts[i + 1]], "x,y " per point
 
     shapes = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -579,28 +648,24 @@ def emit_svg(bundle: ReportBundle, path) -> None:
         _text(5, _VIEW_H - _MARGIN_B, _tick(y_lo, y_shrink)),
     ]
     legend = []
-    polyline_points = {}  # the finite points of a curve, as bytes -> its points attribute
     lx = _VIEW_W - _MARGIN_R - 220  # legend, top-right inside the plot area
     for i, s in enumerate(series):
         color, ly = _PALETTE[i % len(_PALETTE)], _MARGIN_T + 14 + 16 * i
-        lo, hi = starts[i], starts[i + 1]
+        text = points[cuts[i] : cuts[i + 1]]
         if i < len(bundle.curves):
             dash = _DASHES[i % len(_DASHES)]
             dash_attr = "" if dash == "none" else f' stroke-dasharray="{dash}"'
-            key = finite[lo:hi].tobytes()
-            if key not in polyline_points:
-                polyline_points[key] = " ".join(["%.2f,%.2f"] * (hi - lo)) % tuple(coords[2 * lo : 2 * hi])
             shapes.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash_attr} '
-                f'points="{polyline_points[key]}"/>\n'
+                f'points="{text[:-1]}"/>\n'
             )
             legend.append(
                 f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 30}" y2="{ly - 4}" stroke="{color}" '
                 f'stroke-width="1.5"{dash_attr}/>\n'
             )
         else:
-            circle = f'<circle cx="%.2f" cy="%.2f" r="3" fill="{color}" stroke="none"/>\n'
-            shapes.append(circle * (hi - lo) % tuple(coords[2 * lo : 2 * hi]))
+            circle = f'<circle cx="{{}}" cy="{{}}" r="3" fill="{color}" stroke="none"/>\n'
+            shapes += [circle.format(*point.split(",")) for point in text.split()]
             legend.append(f'<circle cx="{lx + 15}" cy="{ly - 4}" r="3" fill="{color}"/>\n')
         label = s.label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         legend.append(_text(lx + 36, ly, label))

@@ -222,7 +222,8 @@ def elastic_net_cd(
     Non-convergence is reported in the result, not raised; ``kkt_residual``
     is the largest subgradient violation at the returned coefficients. The
     system is checked as :func:`lstsq` checks it; a finite system whose Gram
-    form G or c overflows raises :class:`NumericError`.
+    form G or c, or whose objective at w = 0, overflows raises
+    :class:`NumericError`.
     """
     A, y = _system(A, y)
     if not 0.0 <= rho <= 1.0:
@@ -230,17 +231,20 @@ def elastic_net_cd(
     if not alpha >= 0:
         raise ValueError("alpha must be >= 0")
     n_obs, p = A.shape
+    w = np.zeros(p)
     with np.errstate(over="ignore", invalid="ignore"):
         G = A.T @ A / n_obs
         c = A.T @ y / n_obs
+        start = elastic_net_objective(A, y, w, alpha, rho)  # ||y||^2 / 2N
     if not (np.isfinite(G).all() and np.isfinite(c).all()):
         raise NumericError("Gram form of the elastic-net system overflows")
+    if not np.isfinite(start):
+        raise NumericError("objective of the elastic-net system overflows at w = 0")
     lam1 = alpha * rho
     lam2 = alpha * (1.0 - rho)
     z = G.diagonal() + lam2
-    w = np.zeros(p)
     q = np.zeros(p)  # G w
-    objectives = [elastic_net_objective(A, y, w, alpha, rho)]
+    objectives = [start]
     converged = False
     sweeps = 0
     signs = None  # sign pattern of w after the previous full sweep

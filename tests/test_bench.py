@@ -622,6 +622,75 @@ def test_emit_svg_matches_per_series_drawing(tmp_path_factory, bundle):
     assert path.read_text() == want
 
 
+def _check_point_text(view):
+    """bench._point_text of `view` is its rows written by "%.2f,%.2f ", each
+    starting at its offset."""
+    view = np.asarray(view, dtype=float).reshape(-1, 2)
+    rows = ["%.2f,%.2f " % (x, y) for x, y in view.tolist()]
+    text, offsets = bench._point_text(view)
+    assert text == "".join(rows)
+    assert offsets.tolist() == [0, *np.cumsum([len(row) for row in rows], dtype=int).tolist()]
+
+
+def _near_ties(k):
+    """(k + 1/2) / 100 as a float, and its neighbours one ulp either side."""
+    tie = (k + 0.5) / 100
+    return [np.nextafter(tie, -np.inf), tie, np.nextafter(tie, np.inf)]
+
+
+# exact binary ties ((k + 1/2) / 100 a float: 0.125, 436.875, 779.875) and
+# decimal ones that are not (2.675, 20.005, 779.995)
+_TIES = [0.125, 2.675, 20.005, 779.995, 436.875, 430.625, 779.875]
+_FORMAT_SPECIAL = [0.0, -0.0, -0.004, 999.995, 999.99, 1000.0, 1e300, 5e-324, -5e-324, 2.0**-1030, 2.2e-308]
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        *_TIES,
+        *_FORMAT_SPECIAL,
+        *(v for k in (0, 1, 12, 267, 2000, 43687, 77999, 99998, 99999) for v in _near_ties(k)),
+    ],
+)
+def test_point_text_writes_each_coordinate_as_percent_format(v):
+    _check_point_text([[v, 1.0], [1.0, v], [v, v], [420.5, 12.25]])
+
+
+def test_point_text_splices_several_fallback_rows_in_order():
+    values = [*_TIES, *_FORMAT_SPECIAL, 60.0, 780.0, 8.0, 99.5]
+    _check_point_text(np.column_stack([values, values[::-1]]))
+    _check_point_text(np.empty((0, 2)))
+
+
+_format_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(0.0, 1001.0),
+    st.integers(0, 10**5).flatmap(lambda k: st.sampled_from(_near_ties(k))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_format_floats, _format_floats), max_size=12))
+def test_point_text_matches_percent_format(rows):
+    _check_point_text(rows)
+
+
+def test_emit_svg_writes_a_view_coordinate_on_a_tie_as_percent_format(tmp_path, monkeypatch):
+    # y spans [0, 32], so the view maps y to about 20 + (33.6 - y) * 12.5, and
+    # most quarters not a half land on an exact binary tie such as 436.875
+    ys = np.arange(0.0, 32.25, 0.25)
+    bundle = _tiny_bundle([Curve("c", ys, ys)], [Curve("m", ys[:9], ys[:9])])
+    views = []
+    point_text = bench._point_text
+    monkeypatch.setattr(bench, "_point_text", lambda view: views.append(view) or point_text(view))
+    emit_svg(bundle, tmp_path / "tie.svg")
+    ties = views[0][:, 1] * 200
+    assert ((ties % 2 == 1) & (ties == np.round(ties))).sum() > 40 and 436.875 in views[0][:, 1]
+    text = (tmp_path / "tie.svg").read_text()
+    assert text == _old_svg_text(bundle)
+    assert ",436.88 " in text and 'cy="436.88"' in text  # 436.875 rounds half to even
+
+
 def test_emit_svg_pads_a_constant_too_large_for_one(tmp_path):
     bundle = _tiny_bundle([Curve("flat", np.full(2, 1e16), np.array([-2.0**60, 2.0**60]))])
     path = tmp_path / "flat.svg"

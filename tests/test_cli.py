@@ -68,6 +68,8 @@ def test_cli_write_that_fails_exits_1(tmp_path, capsys):
     assert main(["--out", str(blocker / "out"), "run", "--method", "ridge"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and str(blocker / "out") in err
+    # the directory that cannot be made is reported as the write it stopped
+    assert err.startswith(f"error: failed writing {blocker / 'out' / 'ridge.csv'}: ")
 
 
 def test_cli_config_line_without_equals_exits_2(tmp_path, capsys):

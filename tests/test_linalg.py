@@ -420,6 +420,15 @@ def test_cd_refuses_a_finite_system_whose_gram_form_overflows(where):
         elastic_net_cd(A, y, alpha=0.1, rho=0.5)
 
 
+def test_cd_refuses_a_system_whose_objective_overflows():
+    # the Gram form is finite, but ||y||^2 / 2N, the objective at w = 0, is not
+    A, y = rng.normal(size=(10, 3)), rng.normal(size=10) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="objective of the elastic-net system overflows"):
+            elastic_net_cd(A, y, alpha=0.1, rho=0.5)
+
+
 def test_cd_non_convergence_flagged():
     A = rng.normal(size=(10, 4))
     y = rng.normal(size=10)
