@@ -673,16 +673,13 @@ def emit_svg(bundle: ReportBundle, path) -> None:
 
 
 def read_curve_csv(path) -> list[Curve]:
-    """Parse a curve CSV written by emit_csv back into curves."""
+    """Parse a curve CSV written by emit_csv back into curves: rows by csv.reader (a label
+    may hold commas and quotes), the body as one float array of the header's width."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     header = rows[0]
-    cols = [[] for _ in header]
-    for row in rows[1:]:
-        for i, v in enumerate(row):
-            cols[i].append(float(v))
-    xs = np.asarray(cols[0])
-    return [Curve(header[i], xs, np.asarray(cols[i])) for i in range(1, len(header))]
+    xs, *columns = np.array(rows[1:], dtype=float).reshape(-1, len(header)).T
+    return [Curve(label, xs, ys) for label, ys in zip(header[1:], columns)]
 
 
 def sweep(method: str, grid, grid_size: int = DEFAULT_GRID_SIZE) -> list[metrics.StudyEntry]:

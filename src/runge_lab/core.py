@@ -156,9 +156,11 @@ class TargetFunction:
 
 
 def runge(x):
-    """The classic 1/(1 + 25 x^2) bump."""
+    """The classic 1/(1 + 25 x^2) bump. For |x| beyond about 2e153 the square
+    overflows to inf and the value is 0.0, the correct float, without a warning."""
     x = np.asarray(x, dtype=float)
-    return 1.0 / (1.0 + 25.0 * x * x)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + 25.0 * x * x)
 
 
 RUNGE = TargetFunction("runge", runge)
@@ -174,9 +176,10 @@ class Approximant:
     """Base class for evaluable approximations."""
 
     def evaluate(self, xs) -> np.ndarray:  # pragma: no cover - abstract
-        """Values at the points xs. A non-finite point raises ValueError.
-        ``BasisPoly`` and ``Barycentric`` extrapolate outside their interval;
-        ``Piecewise`` raises ValueError for a point outside its span."""
+        """Values at the points xs, in xs's shape (a scalar gives a 0-d value). A
+        non-finite point raises ValueError. ``BasisPoly`` and ``Barycentric``
+        extrapolate outside their interval; ``Piecewise`` raises ValueError for
+        a point outside its span."""
         raise NotImplementedError
 
     @property
@@ -420,7 +423,7 @@ class Barycentric(Approximant):
         return self.nodes.interval
 
     def evaluate(self, xs) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        xs = np.asarray(xs, dtype=float)
         if not np.isfinite(xs).all():
             raise ValueError("evaluation points must be finite")
         flat = xs.ravel()
@@ -479,9 +482,8 @@ class Piecewise(Approximant):
     of the table gathered, so the work is O(m log k) for k pieces, with no
     call per piece. It does, point by point, the float operations of that
     row's ``BasisPoly.evaluate``, so the result is the same bit for bit. Any
-    other pieces (TISI's bands) are called once each: the points are sorted
-    by piece once and each piece that received points evaluates its
-    contiguous slice, so the work is O(m log m) plus one call per piece hit.
+    other pieces (TISI's bands) are called once per piece hit, on its points in
+    input order as one comparison of all m piece indices finds them: O(m k).
     """
 
     breakpoints: np.ndarray
@@ -503,7 +505,7 @@ class Piecewise(Approximant):
         return Interval(float(self.breakpoints[0]), float(self.breakpoints[-1]))
 
     def evaluate(self, xs) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        xs = np.asarray(xs, dtype=float)
         lo, hi = self.breakpoints[0], self.breakpoints[-1]
         if not np.all((xs >= lo) & (xs <= hi)):  # NaN fails both comparisons
             raise ValueError(f"evaluation point outside span [{lo}, {hi}]")
@@ -514,12 +516,11 @@ class Piecewise(Approximant):
             t = self.pieces.interval.to_unit(flat)
             rows = np.take(self.pieces.coeffs.T, idx, axis=1)  # contiguous (4, m): row j holds t^j's coefficients
             return _poly.polyval(t, rows, tensor=False).reshape(xs.shape)
-        order = np.argsort(idx, kind="stable")
-        bounds = np.searchsorted(idx[order], np.arange(len(self.pieces) + 1)).tolist()
         out = np.empty_like(flat)
-        for i in np.flatnonzero(np.diff(bounds)).tolist():
-            rows = order[bounds[i] : bounds[i + 1]]
-            out[rows] = self.pieces[i].evaluate(flat[rows])
+        for i, piece in enumerate(self.pieces):
+            rows = np.flatnonzero(idx == i)
+            if rows.size:
+                out[rows] = piece.evaluate(flat[rows])
         return out.reshape(xs.shape)
 
     @property

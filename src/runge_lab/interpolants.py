@@ -9,6 +9,7 @@ strategies, and truncated-SVD solves.
 from __future__ import annotations
 
 import enum
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -61,13 +62,12 @@ def cubic_spline(samples: SampleSet) -> Piecewise:
     y = samples.ys
     h = np.diff(t)
     n = len(t)
-    # interior second-derivative moments; natural ends are zero
+    # interior second-derivative moments; natural ends are zero; the system is symmetric
     diag = (h[:-1] + h[1:]) / 3.0
-    sub = h[1:-1] / 6.0
-    sup = h[1:-1] / 6.0
+    off = h[1:-1] / 6.0
     rhs = np.diff(y[1:]) / h[1:] - np.diff(y[:-1]) / h[:-1]
     m = np.zeros(n)
-    m[1:-1] = linalg.solve_tridiagonal(sub, diag, sup, rhs)
+    m[1:-1] = linalg.solve_tridiagonal(off, diag, off, rhs)
     # Expand m0 (x1-X)^3/6h + m1 (X-x0)^3/6h + a (x1-X) + b (X-x0) on every
     # piece [x0, x1] of t at once into monomial coefficients c0 + c1 X + c2 X^2 + c3 X^3.
     x0, x1, m0, m1 = t[:-1], t[1:], m[:-1], m[1:]
@@ -173,6 +173,15 @@ def tikhonov_fit(
 # External fake-constraint interpolation (curvature pinned near the endpoints)
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int: a Python or numpy integer passes, anything else
+    (a float, a string) raises ValueError naming the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class EfciConfig:
     """``epsilon`` is each end band's width in x units; ``weight``
@@ -185,7 +194,8 @@ class EfciConfig:
     weight: float = 10.0
 
     def __post_init__(self):
-        if self.m < 2 or self.m % 2:
+        _integer("degree", self.degree)
+        if _integer("m", self.m) < 2 or self.m % 2:
             raise ValueError("m must be an even integer >= 2")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
@@ -265,14 +275,13 @@ def constrained_mock_chebyshev_lstsq(
     A = linalg.design_matrix(full.nodes, ls_degree, Basis.MONOMIAL)
     C = A[idx]
     d = full.ys[idx]
-    p = ls_degree + 1
     kkt = np.block([[2.0 * A.T @ A, C.T], [C, np.zeros((k, k))]])
     rhs = np.concatenate([2.0 * A.T @ full.ys, d])
     try:
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericError("singular KKT system in constrained least squares") from exc
-    return BasisPoly(Basis.MONOMIAL, sol[:p], full.interval)
+    return BasisPoly(Basis.MONOMIAL, sol[: ls_degree + 1], full.interval)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +310,7 @@ class TisiConfig:
             object.__setattr__(self, band, BandStrategy(getattr(self, band)))
         if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
-        if self.nodes_per_interval < 2:
+        if _integer("nodes_per_interval", self.nodes_per_interval) < 2:
             raise ValueError("nodes_per_interval must be >= 2")
 
 
@@ -311,7 +320,7 @@ def _band_nodes(band: Interval, strategy: BandStrategy, n: int) -> NodeSet:
         # in so adjacent pieces share a node and the join stays continuous. The
         # roots lie strictly inside the band in increasing order, as NodeSet
         # checks; no np.unique, whose first call imports numpy.ma.
-        interior = chebyshev_roots(max(n - 3, 0), band).xs if n >= 3 else np.array([])
+        interior = chebyshev_roots(n - 3, band).xs if n >= 3 else np.array([])
         xs = np.concatenate([[band.lo], interior, [band.hi]])
         return NodeSet(band, xs)
     return equispaced(n, band)

@@ -141,33 +141,27 @@ def solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: n
     """Thomas algorithm for a tridiagonal system; a non-finite band entry raises
     ValueError, where the solve would return NaN without a signal. Both
     recurrences run on Python floats, which round exactly as float64 scalars
-    do, without the cost of indexing numpy scalars."""
+    do, without the cost of indexing numpy scalars. ``sub`` gets a leading and
+    ``sup`` a trailing 0.0, so row 0 takes the loop's step too: c[-1] and
+    d[-1] are still 0.0 there, and subtracting 0.0 * 0.0 is exact."""
     sub, diag, sup, rhs = (np.asarray(v, dtype=float) for v in (sub, diag, sup, rhs))
     n = len(diag)
     if len(rhs) != n or len(sub) != n - 1 or len(sup) != n - 1:
         raise ValueError("band lengths inconsistent with system size")
     if not all(np.isfinite(v).all() for v in (sub, diag, sup, rhs)):
         raise ValueError("tridiagonal system must be finite")
-    sub, diag, sup, rhs = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
-    c = [0.0] * (n - 1)
+    sub, diag, sup, rhs = [0.0, *sub.tolist()], diag.tolist(), [*sup.tolist(), 0.0], rhs.tolist()
+    c = [0.0] * n
     d = [0.0] * n
-    piv = diag[0]
-    if piv == 0.0:
-        raise NumericError("zero pivot in tridiagonal solve at row 0")
-    if n > 1:
-        c[0] = sup[0] / piv
-    d[0] = rhs[0] / piv
-    for i in range(1, n):
-        piv = diag[i] - sub[i - 1] * c[i - 1]
+    for i in range(n):
+        piv = diag[i] - sub[i] * c[i - 1]
         if piv == 0.0:
             raise NumericError(f"zero pivot in tridiagonal solve at row {i}")
-        if i < n - 1:
-            c[i] = sup[i] / piv
-        d[i] = (rhs[i] - sub[i - 1] * d[i - 1]) / piv
-    x = d
+        c[i] = sup[i] / piv
+        d[i] = (rhs[i] - sub[i] * d[i - 1]) / piv
     for i in range(n - 2, -1, -1):
-        x[i] -= c[i] * x[i + 1]
-    return np.array(x)
+        d[i] -= c[i] * d[i + 1]
+    return np.array(d)
 
 
 # coordinate descent stops once a full sweep moves no coordinate by CD_TOL, or after CD_MAX_ITER sweeps
@@ -228,8 +222,8 @@ def elastic_net_cd(
     A, y = _system(A, y)
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    if not alpha >= 0:
-        raise ValueError("alpha must be >= 0")
+    if not 0 <= alpha < np.inf:
+        raise ValueError("alpha must be finite and >= 0")
     n_obs, p = A.shape
     w = np.zeros(p)
     with np.errstate(over="ignore", invalid="ignore"):

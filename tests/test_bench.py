@@ -355,6 +355,21 @@ def test_csv_round_trip_exact(tmp_path):
     assert np.array_equal(curves[1].ys, ys2)
 
 
+def test_csv_round_trip_of_labels_with_commas_and_quotes(tmp_path):
+    labels = ["a,b", 'say "hi"', '"quoted, too"', "tisi[eps=0.2,n=11]"]
+    path = tmp_path / "labels.csv"
+    xs = np.linspace(-1, 1, 5)
+    emit_csv(_tiny_bundle([Curve(label, xs, xs * i) for i, label in enumerate(labels)]), path)
+    back = read_curve_csv(path)
+    assert [c.label for c in back] == labels
+    for i, c in enumerate(back):
+        assert c.xs.tobytes() == xs.tobytes() and c.ys.tobytes() == (xs * i).tobytes()
+    # a header-only file gives the labelled curves, empty
+    emit_csv(_tiny_bundle([Curve(label, np.empty(0), np.empty(0)) for label in labels]), path)
+    back = read_curve_csv(path)
+    assert [c.label for c in back] == labels and all(c.xs.size == c.ys.size == 0 for c in back)
+
+
 def _old_csv_body(curves) -> str:
     """The curve table as emit_csv wrote it when it formatted cell by cell."""
     xs = curves[0].xs if curves else np.empty(0)  # a bundle without curves has no grid to write

@@ -46,6 +46,15 @@ def test_runge_values():
     assert runge(-0.2) == pytest.approx(0.5)
 
 
+def test_runge_on_a_wide_interval_is_zero_without_a_warning():
+    # 25 x^2 overflows for |x| beyond about 2e153; 1 / inf = 0.0 is the correct float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples = RUNGE.sample(equispaced(5, Interval(-1e300, 1e300)))
+        assert samples.ys.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+        assert runge(-1e300) == 0.0 and runge(1e150) == 1.0 / (1.0 + 25.0 * 1e150 * 1e150)
+
+
 def test_interval_validation():
     with pytest.raises(ValueError):
         Interval(1.0, 1.0)
@@ -581,8 +590,12 @@ def test_non_finite_points_are_refused(bad):
     tisi = tisi_fit(RUNGE, Interval(), TisiConfig())
     bary = Barycentric.fit(RUNGE.sample(equispaced(11)))
     poly = fit_regularized(RUNGE.sample(equispaced(11)), 4)
-    assert np.ndim(poly.evaluate(0.5)) == 0
+    grid = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
     for approx in (spline, tisi, bary, poly):
+        # one shape rule: the values have the points' shape, a scalar gives a 0-d value
+        assert np.ndim(approx.evaluate(0.5)) == 0
+        assert approx.evaluate(0.5) == approx.evaluate([0.5])[0]
+        assert np.array_equal(approx.evaluate(grid), approx.evaluate(grid.ravel()).reshape(2, 3))
         with pytest.raises(ValueError):
             approx.evaluate([bad, 0.0])
         with pytest.raises(ValueError):

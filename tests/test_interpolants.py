@@ -1,5 +1,6 @@
 import functools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -362,6 +363,25 @@ def test_efci_config_validation():
     s = RUNGE.sample(equispaced(5))
     with pytest.raises(ValueError):
         efci_fit(s, RUNGE, EfciConfig(degree=1))
+
+
+def test_config_counts_must_be_integers():
+    # a float count used to pass the range checks and fail later inside numpy
+    for make, message in (
+        (lambda: EfciConfig(m=4.0), "m must be an integer, got 4.0"),
+        (lambda: EfciConfig(degree=10.0), "degree must be an integer, got 10.0"),
+        (lambda: TisiConfig(nodes_per_interval=5.5), "nodes_per_interval must be an integer, got 5.5"),
+        (lambda: TisiConfig(nodes_per_interval="11"), "nodes_per_interval must be an integer, got '11'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+    # numpy integers stay accepted and fit as Python ints do
+    s = RUNGE.sample(equispaced(11))
+    a = efci_fit(s, RUNGE, EfciConfig(degree=np.int64(8), m=np.int32(4)))[0]
+    assert np.array_equal(a.coeffs, efci_fit(s, RUNGE, EfciConfig(degree=8, m=4))[0].coeffs)
+    b = tisi_fit(RUNGE, Interval(), TisiConfig(nodes_per_interval=np.int64(7)))
+    xs = np.linspace(-1.0, 1.0, 51)
+    assert np.array_equal(b.evaluate(xs), tisi_fit(RUNGE, Interval(), TisiConfig(nodes_per_interval=7)).evaluate(xs))
 
 
 # ---------------------------------------------------------------------------

@@ -429,6 +429,13 @@ def test_cd_refuses_a_system_whose_objective_overflows():
             elastic_net_cd(A, y, alpha=0.1, rho=0.5)
 
 
+@pytest.mark.parametrize("alpha", [np.inf, np.nan, -1.0])
+def test_cd_refuses_an_alpha_that_is_not_finite_and_non_negative(alpha):
+    # inf * ||0||_1 is NaN, which read as an overflowing objective before this check
+    with pytest.raises(ValueError, match=r"^alpha must be finite and >= 0$"):
+        elastic_net_cd(np.ones((3, 2)), [1.0, 2.0, 3.0], alpha, 0.5)
+
+
 def test_cd_non_convergence_flagged():
     A = rng.normal(size=(10, 4))
     y = rng.normal(size=10)
