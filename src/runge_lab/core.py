@@ -41,12 +41,33 @@ class Basis(enum.Enum):
         return _BASIS_FUNCTIONS[self][0](t, degree)
 
     def val(self, t, coeffs) -> np.ndarray:
-        """Sum of coeffs[j] times basis function j at the unit coordinates t."""
+        """Sum of coeffs[j] times basis function j at the unit coordinates t.
+
+        Monomials take :func:`_horner`: for degree d, 2d in-place ufunc calls
+        on one array of t's shape. Legendre takes numpy's ``legval``, which
+        allocates new arrays at each Clenshaw step; numpy 1.x and 2 round
+        those steps differently, so no rewrite could match both."""
         return _BASIS_FUNCTIONS[self][1](t, coeffs)
 
 
+def _horner(t, coeffs):
+    """Sum of coeffs[j] * t**j by Horner's rule, bit for bit what numpy's
+    ``polyval`` returns (with ``tensor=False`` when coeffs is a table whose
+    rows broadcast against t): start from ``t * 0 + coeffs[-1]``, so a
+    non-finite t gives NaN and a zero leading coefficient keeps its sign,
+    then multiply by t and add the next coefficient down, both in place on
+    that one array, where ``polyval`` allocates two new arrays per step. A
+    0-d t gives a numpy scalar, as ``polyval`` does."""
+    out = t * 0
+    out += coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out *= t
+        out += c
+    return out
+
+
 _BASIS_FUNCTIONS = {  # basis -> (vander, val)
-    Basis.MONOMIAL: (_poly.polyvander, _poly.polyval),
+    Basis.MONOMIAL: (_poly.polyvander, _horner),
     Basis.LEGENDRE: (_leg.legvander, _leg.legval),
 }
 
@@ -166,10 +187,21 @@ def runge(x):
 RUNGE = TargetFunction("runge", runge)
 
 
+def _coefficient_vector(coeffs) -> np.ndarray:
+    """coeffs as a read-only float vector; anything but a non-empty 1-D
+    vector raises ValueError."""
+    c = _frozen_array(coeffs)
+    if c.ndim != 1 or len(c) == 0:
+        raise ValueError(f"coefficients must be a non-empty 1-D vector, got shape {c.shape}")
+    return c
+
+
 def polynomial_target(coeffs: Sequence[float], name: str | None = None) -> TargetFunction:
-    """Target polynomial with the given monomial coefficients (low to high)."""
-    c = np.asarray(coeffs, dtype=float)
-    return TargetFunction(name or f"poly_deg{len(c) - 1}", lambda x: _poly.polyval(x, c))
+    """Target polynomial with the given monomial coefficients (low to high), a
+    non-empty 1-D vector. A call evaluates it by :func:`_horner`, in place,
+    with ``polyval``'s float operations: NaN at a non-finite x."""
+    c = _coefficient_vector(coeffs)
+    return TargetFunction(name or f"poly_deg{len(c) - 1}", lambda x: _horner(x, c))
 
 
 class Approximant:
@@ -197,9 +229,7 @@ class BasisPoly(Approximant):
     interval: Interval = field(default_factory=Interval)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _frozen_array(self.coeffs))
-        if len(self.coeffs) == 0:
-            raise ValueError("coefficient vector must be non-empty")
+        object.__setattr__(self, "coeffs", _coefficient_vector(self.coeffs))
 
     def evaluate(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -478,11 +508,12 @@ class Piecewise(Approximant):
 
     Cost model: evaluating m points locates them with one ``searchsorted``.
     Pieces given as a :class:`MonomialTable` (the natural cubic spline) are
-    then evaluated by one Horner pass over all m points with each point's row
-    of the table gathered, so the work is O(m log k) for k pieces, with no
-    call per piece. It does, point by point, the float operations of that
-    row's ``BasisPoly.evaluate``, so the result is the same bit for bit. Any
-    other pieces (TISI's bands) are called once per piece hit, on its points in
+    then evaluated by one in-place Horner pass (:func:`_horner`) over all m
+    points with each point's row of the table gathered, so the work is
+    O(m log k) for k pieces, with no call per piece and no new array per
+    Horner step. It does, point by point, the float operations of that row's
+    ``BasisPoly.evaluate``, so the result is the same bit for bit. Any other
+    pieces (TISI's bands) are called once per piece hit, on its points in
     input order as one comparison of all m piece indices finds them: O(m k).
     """
 
@@ -515,7 +546,7 @@ class Piecewise(Approximant):
         if isinstance(self.pieces, MonomialTable):
             t = self.pieces.interval.to_unit(flat)
             rows = np.take(self.pieces.coeffs.T, idx, axis=1)  # contiguous (4, m): row j holds t^j's coefficients
-            return _poly.polyval(t, rows, tensor=False).reshape(xs.shape)
+            return _horner(t, rows).reshape(xs.shape)
         out = np.empty_like(flat)
         for i, piece in enumerate(self.pieces):
             rows = np.flatnonzero(idx == i)

@@ -121,6 +121,7 @@ def fit_regularized(
     (RuntimeWarning) when they stop after linalg.CD_MAX_ITER sweeps unconverged.
     The monomials and ``alpha`` act in the unit coordinate t (see BasisPoly).
     """
+    degree = _integer("degree", degree)
     penalty = PenaltyKind(penalty)
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -159,6 +160,7 @@ def tikhonov_fit(
 ) -> BasisPoly:
     """Stacked least squares [A; L] c = [y; 0] with L = lam*I or lam*D2, where
     c holds the monomial coefficients of the unit coordinate t."""
+    degree = _integer("degree", degree)
     operator = TikhonovOperator(operator)
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -195,6 +197,8 @@ class EfciConfig:
 
     def __post_init__(self):
         _integer("degree", self.degree)
+        if not isinstance(self.search, (bool, np.bool_)):
+            raise ValueError(f"search must be a bool, got {self.search!r}")
         if _integer("m", self.m) < 2 or self.m % 2:
             raise ValueError("m must be an even integer >= 2")
         if not self.epsilon > 0:
@@ -264,6 +268,8 @@ def constrained_mock_chebyshev_lstsq(
 
     ls_degree defaults to |subset| + (|full| - |subset|) // 2.
     """
+    if ls_degree is not None:
+        ls_degree = _integer("ls_degree", ls_degree)
     idx = list(mock_chebyshev_subset(full.nodes, m))
     k = len(idx)
     if ls_degree is None:
@@ -363,6 +369,7 @@ def svd_truncated_fit(
 ) -> BasisPoly:
     """Design matrix in the chosen basis of the unit coordinate t, solved
     through the relative-threshold truncated pseudo-inverse."""
+    degree = _integer("degree", degree)
     basis = Basis(basis)
     A = linalg.design_matrix(samples.nodes, degree, basis)
     coeffs, _ = linalg.truncated_pinv_solve(A, samples.ys, threshold)

@@ -218,6 +218,16 @@ def elastic_net_cd(
     system is checked as :func:`lstsq` checks it; a finite system whose Gram
     form G or c, or whose objective at w = 0, overflows raises
     :class:`NumericError`.
+
+    The sweeps run on Python floats, as :func:`solve_tridiagonal` does: G's
+    columns, its diagonal, c and z become lists once per call, and w and q
+    stay lists within a sweep. A coordinate update indexes no numpy scalar,
+    and its q update is one list comprehension of p products, so a sweep
+    costs O(p^2) Python float operations, then one O(N p) objective on numpy.
+    Python floats round exactly as float64 scalars do, and every expression
+    keeps its operands and their order, so the result is bit for bit that of
+    the same loop on numpy scalars. Numpy sees w once per full sweep, for the
+    objective, the sign pattern and the polish.
     """
     A, y = _system(A, y)
     if not 0.0 <= rho <= 1.0:
@@ -234,10 +244,11 @@ def elastic_net_cd(
         raise NumericError("Gram form of the elastic-net system overflows")
     if not np.isfinite(start):
         raise NumericError("objective of the elastic-net system overflows at w = 0")
-    lam1 = alpha * rho
-    lam2 = alpha * (1.0 - rho)
-    z = G.diagonal() + lam2
-    q = np.zeros(p)  # G w
+    lam1 = float(alpha * rho)
+    lam2 = float(alpha * (1.0 - rho))
+    cols, g_jj, c_j = G.T.tolist(), G.diagonal().tolist(), c.tolist()
+    z = (G.diagonal() + lam2).tolist()
+    w_j, q = [0.0] * p, [0.0] * p  # w and G w
     objectives = [start]
     converged = False
     sweeps = 0
@@ -248,13 +259,15 @@ def elastic_net_cd(
         for j in range(p):
             if z[j] == 0.0:
                 continue
-            rho_j = c[j] - q[j] + G[j, j] * w[j]
-            wj_new = np.sign(rho_j) * max(abs(rho_j) - lam1, 0.0) / z[j]
-            delta = wj_new - w[j]
+            rho_j = c_j[j] - q[j] + g_jj[j] * w_j[j]
+            sign = 1.0 if rho_j > 0.0 else -1.0 if rho_j < 0.0 else 0.0 if rho_j == 0.0 else rho_j  # np.sign
+            wj_new = sign * max(abs(rho_j) - lam1, 0.0) / z[j]
+            delta = wj_new - w_j[j]
             if delta != 0.0:
-                q += delta * G[:, j]
-                w[j] = wj_new
+                q = [q_i + delta * g_ij for q_i, g_ij in zip(q, cols[j])]
+                w_j[j] = wj_new
                 max_delta = max(max_delta, abs(delta))
+        w = np.array(w_j)
         objectives.append(elastic_net_objective(A, y, w, alpha, rho))
         if max_delta < tol:
             converged = True
@@ -266,7 +279,7 @@ def elastic_net_cd(
             polished = _polish_support(A, y, G, c, w, alpha, rho, objectives)
             if polished is not None:
                 sweeps += 1
-                w, q = polished, G @ polished
+                w, w_j, q = polished, polished.tolist(), (G @ polished).tolist()
     g = c - G @ w
     violation = np.where(
         w != 0.0, np.abs(g - lam2 * w - lam1 * np.sign(w)), np.maximum(np.abs(g) - lam1, 0.0)

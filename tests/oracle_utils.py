@@ -129,3 +129,65 @@ def mpmath_condition_number(A, dps=50):
         s = mpmath.svd_r(M, compute_uv=False)
         vals = sorted((abs(s[i]) for i in range(len(s))), reverse=True)
         return float(vals[0] / vals[-1])
+
+
+def numpy_scalar_elastic_net_cd(A, y, alpha, rho, tol=1e-8, max_iter=100_000):
+    """The Gram-form coordinate descent of ``linalg.elastic_net_cd`` as it ran
+    before its sweeps moved to Python floats: every coordinate update indexes
+    numpy arrays and rounds on numpy float64 scalars, and q = G w is updated
+    by one array expression. The objective, the polish and the input checks
+    are the package's own, so a difference to ``elastic_net_cd`` can only
+    come from the sweep. Returns a ``linalg.CdResult``."""
+    from runge_lab.linalg import CdResult, _polish_support, _system, elastic_net_objective
+
+    A, y = _system(A, y)
+    n_obs, p = A.shape
+    w = np.zeros(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = A.T @ A / n_obs
+        c = A.T @ y / n_obs
+        start = elastic_net_objective(A, y, w, alpha, rho)
+    lam1 = alpha * rho
+    lam2 = alpha * (1.0 - rho)
+    z = G.diagonal() + lam2
+    q = np.zeros(p)
+    objectives = [start]
+    converged = False
+    sweeps = 0
+    signs = None
+    while sweeps < max_iter:
+        sweeps += 1
+        max_delta = 0.0
+        for j in range(p):
+            if z[j] == 0.0:
+                continue
+            rho_j = c[j] - q[j] + G[j, j] * w[j]
+            wj_new = np.sign(rho_j) * max(abs(rho_j) - lam1, 0.0) / z[j]
+            delta = wj_new - w[j]
+            if delta != 0.0:
+                q += delta * G[:, j]
+                w[j] = wj_new
+                max_delta = max(max_delta, abs(delta))
+        objectives.append(elastic_net_objective(A, y, w, alpha, rho))
+        if max_delta < tol:
+            converged = True
+            break
+        pattern = np.sign(w)
+        confirmed = signs is not None and np.array_equal(signs, pattern)
+        signs = pattern
+        if confirmed and sweeps < max_iter:
+            polished = _polish_support(A, y, G, c, w, alpha, rho, objectives)
+            if polished is not None:
+                sweeps += 1
+                w, q = polished, G @ polished
+    g = c - G @ w
+    violation = np.where(
+        w != 0.0, np.abs(g - lam2 * w - lam1 * np.sign(w)), np.maximum(np.abs(g) - lam1, 0.0)
+    )
+    return CdResult(
+        coeffs=w,
+        converged=converged,
+        n_sweeps=sweeps,
+        kkt_residual=float(np.max(violation, initial=0.0)),
+        objectives=np.asarray(objectives),
+    )

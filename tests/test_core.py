@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 import runge_lab
 from runge_lab import core, linalg
@@ -114,6 +115,49 @@ def test_sampleset_validation():
 def test_constant_basis_poly():
     p = BasisPoly(Basis.MONOMIAL, [1.0])
     assert np.all(p.evaluate([-1.0, 0.3, 1.0]) == 1.0)
+
+
+@pytest.mark.parametrize("coeffs", [[], [[1.0, 2.0], [3.0, 4.0]], 1.0], ids=["empty", "2-D", "0-d"])
+def test_coefficients_must_be_a_non_empty_vector(coeffs):
+    # a 2-D table used to evaluate to a 2 x m array, and an empty target to
+    # raise IndexError at every call
+    with pytest.raises(ValueError, match="^coefficients must be a non-empty 1-D vector"):
+        BasisPoly(Basis.MONOMIAL, coeffs)
+    with pytest.raises(ValueError, match="^coefficients must be a non-empty 1-D vector"):
+        core.polynomial_target(coeffs)
+
+
+@given(
+    degree=st.integers(0, 12),
+    negative_zero_lead=st.booleans(),
+    shape=st.sampled_from([(), (0,), (7,), (2, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_monomial_horner_matches_polyval_byte_for_byte(degree, negative_zero_lead, shape, seed):
+    g = np.random.default_rng(seed)
+    c = g.normal(size=degree + 1)
+    if negative_zero_lead:
+        c[-1] = -0.0
+    t = g.uniform(-1.5, 1.5, size=shape)
+    want = P.polyval(t, c)
+    for got in (core._horner(t, c), BasisPoly(Basis.MONOMIAL, c).evaluate(t)):
+        assert np.shape(got) == shape and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # a target also takes non-finite points: NaN wherever t is not finite
+    if t.size:
+        t.flat[g.integers(0, t.size, size=3)] = g.choice([np.inf, -np.inf, np.nan], size=3)
+    with np.errstate(invalid="ignore"):
+        want, got = P.polyval(t, c), core.polynomial_target(c)(t)
+    assert np.shape(got) == shape and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # the spline's table rows, as polyval evaluates them with tensor=False
+    spline = cubic_spline(RUNGE.sample(equispaced(degree + 3)))
+    xs = g.uniform(-1.0, 1.0, size=shape)
+    flat = xs.ravel()
+    piece = np.clip(np.searchsorted(spline.breakpoints, flat, side="right") - 1, 0, len(spline.pieces) - 1)
+    rows = spline.pieces.coeffs[piece].T
+    want = P.polyval(spline.pieces.interval.to_unit(flat), rows, tensor=False)
+    got = spline.evaluate(xs)
+    assert got.shape == shape and got.tobytes() == want.tobytes()
 
 
 def test_legendre_at_one():

@@ -384,6 +384,32 @@ def test_config_counts_must_be_integers():
     assert np.array_equal(b.evaluate(xs), tisi_fit(RUNGE, Interval(), TisiConfig(nodes_per_interval=7)).evaluate(xs))
 
 
+@pytest.mark.parametrize(
+    "fit, field",
+    [
+        (lambda s, d: fit_regularized(s, d), "degree"),
+        (lambda s, d: tikhonov_fit(s, d), "degree"),
+        (lambda s, d: svd_truncated_fit(s, d), "degree"),
+        (lambda s, d: constrained_mock_chebyshev_lstsq(s, 4, d), "ls_degree"),
+    ],
+    ids=["fit_regularized", "tikhonov_fit", "svd_truncated_fit", "constrained_mock_chebyshev_lstsq"],
+)
+def test_fit_degrees_must_be_integers(fit, field):
+    # a float degree used to reach numpy's vander and raise its TypeError there
+    s = RUNGE.sample(equispaced(11))
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got 4.0$"):
+        fit(s, 4.0)
+    assert np.array_equal(fit(s, np.int64(4)).coeffs, fit(s, 4).coeffs)
+
+
+def test_efci_search_must_be_a_bool():
+    # a truthy string used to run the count search: 2 positions instead of m = 4
+    with pytest.raises(ValueError, match="^search must be a bool, got 'false'$"):
+        EfciConfig(search="false")
+    s = RUNGE.sample(equispaced(11))
+    assert len(efci_fit(s, RUNGE, EfciConfig(search=np.bool_(False)))[1]) == 4
+
+
 # ---------------------------------------------------------------------------
 # Mock-Chebyshev methods
 

@@ -7,7 +7,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import cyclic_cd_elastic_net, grid_search_elastic_net, mpmath_condition_number
+from oracle_utils import (
+    cyclic_cd_elastic_net,
+    grid_search_elastic_net,
+    mpmath_condition_number,
+    numpy_scalar_elastic_net_cd,
+)
 from runge_lab.core import RUNGE, Basis, SampleSet
 from runge_lab import linalg
 from runge_lab.interpolants import PenaltyKind, fit_regularized
@@ -524,6 +529,47 @@ def test_cd_skips_polish_on_numerically_singular_support():
             _, f_cyclic = cyclic_cd_elastic_net(A, y, alpha, rho=1.0, max_iter=500)
             assert np.all(np.diff(res.objectives) <= 1e-14)
             assert res.objectives[-1] <= f_cyclic + 1e-12 * elastic_net_objective(A, y, np.zeros(3), alpha, 1.0)
+
+
+def _cd_matching_numpy_scalars(A, y, alpha, rho, **kw):
+    """elastic_net_cd's result, checked bit for bit against the same sweeps on numpy scalars."""
+    got, want = elastic_net_cd(A, y, alpha, rho, **kw), numpy_scalar_elastic_net_cd(A, y, alpha, rho, **kw)
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()  # the sign of each zero too
+    assert got.objectives.tobytes() == want.objectives.tobytes()
+    assert (got.n_sweeps, got.converged) == (want.n_sweeps, want.converged)
+    assert got.kkt_residual == want.kkt_residual
+    return got
+
+
+@given(
+    n_obs=st.integers(1, 30),
+    p=st.integers(1, 24),
+    zero_columns=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
+    rho=st.sampled_from([0.0, 0.5, 1.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_cd_python_float_sweeps_match_numpy_scalars_bit_for_bit(n_obs, p, zero_columns, seed, alpha, rho):
+    # tall, square and wide systems; a zero column has G_jj = 0, which the
+    # sweep skips at lam2 = 0
+    g = np.random.default_rng(seed)
+    A = g.normal(size=(n_obs, p)) * 10.0 ** g.uniform(-2, 2, size=p)
+    A[:, g.choice(p, min(zero_columns, p), replace=False)] = 0.0
+    y = g.normal(size=n_obs)
+    _cd_matching_numpy_scalars(A, y, alpha, rho, max_iter=500)
+
+
+def test_cd_python_float_sweeps_match_numpy_scalars_on_the_lasso_crawl_and_a_zero_fit():
+    # 5 equispaced samples and degree-10 monomials: the numerically singular
+    # support keeps the polish off, and plain sweeps crawl
+    s = RUNGE.sample(equispaced(5))
+    A = design_matrix(s.nodes, 10, Basis.MONOMIAL)
+    assert _cd_matching_numpy_scalars(A, s.ys, 0.01, 1.0).n_sweeps == 774
+    # past alpha = max|A^T y| / N every coefficient is zero
+    alpha = 2.0 * np.max(np.abs(A.T @ s.ys)) / len(s.ys)
+    res = _cd_matching_numpy_scalars(A, s.ys, alpha, 1.0)
+    assert res.converged and not res.coeffs.any()
 
 
 def _ridge(nodes, y, alpha, degree):
