@@ -183,7 +183,7 @@ def elastic_net_objective(A: np.ndarray, y: np.ndarray, w: np.ndarray, alpha: fl
     n = len(y)
     return float(
         0.5 / n * (r @ r)
-        + alpha * rho * np.sum(np.abs(w))
+        + alpha * rho * np.abs(w).sum()
         + 0.5 * alpha * (1.0 - rho) * (w @ w)
     )
 
@@ -306,22 +306,23 @@ def _polish_support(A, y, G, c, w, alpha, rho, objectives):
     the systems of the smaller supports, are then no worse conditioned.
     """
     lam1, lam2 = alpha * rho, alpha * (1.0 - rho)
-    support = np.flatnonzero(w)
-    system = G[np.ix_(support, support)] + lam2 * np.eye(support.size)
+    support = w.nonzero()[0]
+    system = G[support[:, None], support] + lam2 * np.eye(support.size)
     try:
         if not np.linalg.cond(system) * np.finfo(float).eps < 1.0:
             return None
     except np.linalg.LinAlgError:
         return None
     while support.size:
-        signs = np.sign(w[support])
+        w_s = w[support]
+        signs = np.sign(w_s)
         target = np.linalg.solve(system, c[support] - lam1 * signs)
         trial = w.copy()
-        crossed = np.flatnonzero(np.sign(target) != signs)
+        crossed = (np.sign(target) != signs).nonzero()[0]
         if crossed.size:
-            ws = w[support[crossed]]
+            ws = w_s[crossed]
             k = int(np.argmin(ws / (ws - target[crossed])))
-            trial[support] += (ws[k] / (ws[k] - target[crossed[k]])) * (target - w[support])
+            trial[support] += (ws[k] / (ws[k] - target[crossed[k]])) * (target - w_s)
             trial[support[crossed[k]]] = 0.0
         else:
             trial[support] = target
@@ -332,6 +333,6 @@ def _polish_support(A, y, G, c, w, alpha, rho, objectives):
         w = trial
         if not crossed.size:
             return w
-        keep = np.flatnonzero(w[support])
-        support, system = support[keep], system[np.ix_(keep, keep)]
+        keep = w[support].nonzero()[0]
+        support, system = support[keep], system[keep[:, None], keep]
     return w

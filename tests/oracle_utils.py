@@ -3,7 +3,8 @@
 These deliberately avoid the package's code paths: extended-precision
 barycentric evaluation in longdouble, brute-force nearest-point selection,
 zoom grid search and plain cyclic coordinate descent for penalized
-objectives, and mpmath-based spectra.
+objectives, mpmath-based spectra, and the Gram-form coordinate descent on
+numpy scalars that the package's Python-float sweeps must match bit for bit.
 """
 
 import numpy as np
@@ -135,10 +136,10 @@ def numpy_scalar_elastic_net_cd(A, y, alpha, rho, tol=1e-8, max_iter=100_000):
     """The Gram-form coordinate descent of ``linalg.elastic_net_cd`` as it ran
     before its sweeps moved to Python floats: every coordinate update indexes
     numpy arrays and rounds on numpy float64 scalars, and q = G w is updated
-    by one array expression. The objective, the polish and the input checks
-    are the package's own, so a difference to ``elastic_net_cd`` can only
-    come from the sweep. Returns a ``linalg.CdResult``."""
-    from runge_lab.linalg import CdResult, _polish_support, _system, elastic_net_objective
+    by one array expression. Its objective and confirmed-support polish are
+    kept as they were then too. Only the input check is the package's.
+    Returns a ``linalg.CdResult``."""
+    from runge_lab.linalg import CdResult, _system
 
     A, y = _system(A, y)
     n_obs, p = A.shape
@@ -146,7 +147,7 @@ def numpy_scalar_elastic_net_cd(A, y, alpha, rho, tol=1e-8, max_iter=100_000):
     with np.errstate(over="ignore", invalid="ignore"):
         G = A.T @ A / n_obs
         c = A.T @ y / n_obs
-        start = elastic_net_objective(A, y, w, alpha, rho)
+        start = _numpy_scalar_objective(A, y, w, alpha, rho)
     lam1 = alpha * rho
     lam2 = alpha * (1.0 - rho)
     z = G.diagonal() + lam2
@@ -168,7 +169,7 @@ def numpy_scalar_elastic_net_cd(A, y, alpha, rho, tol=1e-8, max_iter=100_000):
                 q += delta * G[:, j]
                 w[j] = wj_new
                 max_delta = max(max_delta, abs(delta))
-        objectives.append(elastic_net_objective(A, y, w, alpha, rho))
+        objectives.append(_numpy_scalar_objective(A, y, w, alpha, rho))
         if max_delta < tol:
             converged = True
             break
@@ -176,7 +177,7 @@ def numpy_scalar_elastic_net_cd(A, y, alpha, rho, tol=1e-8, max_iter=100_000):
         confirmed = signs is not None and np.array_equal(signs, pattern)
         signs = pattern
         if confirmed and sweeps < max_iter:
-            polished = _polish_support(A, y, G, c, w, alpha, rho, objectives)
+            polished = _numpy_scalar_polish(A, y, G, c, w, alpha, rho, objectives)
             if polished is not None:
                 sweeps += 1
                 w, q = polished, G @ polished
@@ -191,3 +192,46 @@ def numpy_scalar_elastic_net_cd(A, y, alpha, rho, tol=1e-8, max_iter=100_000):
         kkt_residual=float(np.max(violation, initial=0.0)),
         objectives=np.asarray(objectives),
     )
+
+
+def _numpy_scalar_objective(A, y, w, alpha, rho):
+    r = y - A @ w
+    n = len(y)
+    return float(
+        0.5 / n * (r @ r)
+        + alpha * rho * np.sum(np.abs(w))
+        + 0.5 * alpha * (1.0 - rho) * (w @ w)
+    )
+
+
+def _numpy_scalar_polish(A, y, G, c, w, alpha, rho, objectives):
+    lam1, lam2 = alpha * rho, alpha * (1.0 - rho)
+    support = np.flatnonzero(w)
+    system = G[np.ix_(support, support)] + lam2 * np.eye(support.size)
+    try:
+        if not np.linalg.cond(system) * np.finfo(float).eps < 1.0:
+            return None
+    except np.linalg.LinAlgError:
+        return None
+    while support.size:
+        signs = np.sign(w[support])
+        target = np.linalg.solve(system, c[support] - lam1 * signs)
+        trial = w.copy()
+        crossed = np.flatnonzero(np.sign(target) != signs)
+        if crossed.size:
+            ws = w[support[crossed]]
+            k = int(np.argmin(ws / (ws - target[crossed])))
+            trial[support] += (ws[k] / (ws[k] - target[crossed[k]])) * (target - w[support])
+            trial[support[crossed[k]]] = 0.0
+        else:
+            trial[support] = target
+        f = _numpy_scalar_objective(A, y, trial, alpha, rho)
+        if not f <= objectives[-1]:
+            return w
+        objectives.append(f)
+        w = trial
+        if not crossed.size:
+            return w
+        keep = np.flatnonzero(w[support])
+        support, system = support[keep], system[np.ix_(keep, keep)]
+    return w
