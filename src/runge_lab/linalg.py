@@ -320,9 +320,9 @@ def _polish_support(A, y, G, c, w, alpha, rho, objectives):
         trial = w.copy()
         crossed = (np.sign(target) != signs).nonzero()[0]
         if crossed.size:
-            ws = w_s[crossed]
-            k = int(np.argmin(ws / (ws - target[crossed])))
-            trial[support] += (ws[k] / (ws[k] - target[crossed[k]])) * (target - w_s)
+            w_x = w_s[crossed]
+            k = int(np.argmin(w_x / (w_x - target[crossed])))
+            trial[support] += (w_x[k] / (w_x[k] - target[crossed[k]])) * (target - w_s)
             trial[support[crossed[k]]] = 0.0
         else:
             trial[support] = target
