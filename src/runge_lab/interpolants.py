@@ -268,12 +268,9 @@ def constrained_mock_chebyshev_lstsq(
 
     ls_degree defaults to |subset| + (|full| - |subset|) // 2.
     """
-    if ls_degree is not None:
-        ls_degree = _integer("ls_degree", ls_degree)
     idx = list(mock_chebyshev_subset(full.nodes, m))
     k = len(idx)
-    if ls_degree is None:
-        ls_degree = k + (len(full) - k) // 2
+    ls_degree = k + (len(full) - k) // 2 if ls_degree is None else _integer("ls_degree", ls_degree)
     if not (k <= ls_degree + 1 <= len(full)):
         raise ValueError(
             f"need subset size ({k}) <= ls_degree+1 ({ls_degree + 1}) <= grid size ({len(full)})"
