@@ -50,6 +50,7 @@ REFUSED = {
     "sweep-tisi-grid-5": ("sweep", "--method", "tisi", "--grid", "5"),
     "run-ridge-param-alpha": ("run", "--method", "ridge", "--param", "alpha"),
     "run-efci-param-m-3": ("run", "--method", "efci", "--param", "m=3"),
+    "run-efci-degree-1": ("run", "--method", "efci", "--degree", "1"),
     "figure-10": ("figure", "10"),
 }
 

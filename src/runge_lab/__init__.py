@@ -10,6 +10,7 @@ from .core import (
     Interval,
     NodeFamily,
     NodeSet,
+    NumericError,
     Piecewise,
     RUNGE,
     SampleSet,
@@ -33,7 +34,6 @@ from .interpolants import (
     tikhonov_fit,
     tisi_fit,
 )
-from .linalg import NumericError
 from .metrics import ErrorReport, chebyshev_bound, error_report
 from .nodes import (
     chebyshev_lobatto,

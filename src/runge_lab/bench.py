@@ -8,7 +8,6 @@ import dataclasses
 import enum
 import io
 import math
-import operator
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -18,16 +17,12 @@ from typing import Callable
 import numpy as np
 
 from . import interpolants, metrics, nodes
-from .core import Basis, Interval, NodeFamily, RUNGE, TargetFunction
+from .core import Basis, Interval, NodeFamily, RUNGE, TargetFunction, UsageError, _integer
 from .interpolants import BandStrategy, EfciConfig, PenaltyKind, TikhonovOperator, TisiConfig
 from .metrics import DEFAULT_GRID_SIZE, ErrorReport
 
 UNSUPPORTED_FIGURE_NOTE = {10: "not reproducible - undefined in source"}
 SVD_THRESHOLDS = (1e-2, 1e-5, 1e-10, 1e-15)
-
-
-class UsageError(ValueError):
-    """Bad command-line or configuration input; maps to exit code 2."""
 
 
 @dataclass(frozen=True)
@@ -220,15 +215,6 @@ class FitSpec:
             raise UsageError(f"n_samples must be at least 2, got {self.n_samples}")
         if self.degree is not None and _integer("degree", self.degree) < 1:
             raise UsageError(f"degree must be at least 1, got {self.degree}")
-
-
-def _integer(name: str, value) -> int:
-    """`value` as an int: a Python or numpy integer passes, anything else
-    (a float, a string) raises UsageError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise UsageError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import bench
 from .bench import FitSpec, UsageError, default_output_dir
-from .linalg import NumericError
+from .core import NumericError
 from .metrics import DEFAULT_GRID_SIZE
 
 

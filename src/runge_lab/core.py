@@ -25,6 +25,19 @@ class NumericError(RuntimeError):
     barycentric weights outside the float range."""
 
 
+class UsageError(ValueError):
+    """Bad command-line, configuration or count input; maps to exit code 2."""
+
+
+def _integer(name: str, value) -> int:
+    """`value` as an int: a Python or numpy integer passes, anything else
+    (a float, a string) raises UsageError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+
+
 class NodeFamily(enum.Enum):
     EQUISPACED = "equispaced"
     CHEBYSHEV_ROOTS = "chebyshev_roots"

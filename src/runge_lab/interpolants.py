@@ -9,7 +9,6 @@ strategies, and truncated-SVD solves.
 from __future__ import annotations
 
 import enum
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -24,11 +23,12 @@ from .core import (
     Interval,
     MonomialTable,
     NodeSet,
+    NumericError,
     Piecewise,
     SampleSet,
     TargetFunction,
+    _integer,
 )
-from .linalg import NumericError
 from .nodes import chebyshev_roots, equispaced, mock_chebyshev_subset
 
 
@@ -175,15 +175,6 @@ def tikhonov_fit(
 # External fake-constraint interpolation (curvature pinned near the endpoints)
 
 
-def _integer(name: str, value) -> int:
-    """`value` as an int: a Python or numpy integer passes, anything else
-    (a float, a string) raises ValueError naming the field."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class EfciConfig:
     """``epsilon`` is each end band's width in x units; ``weight``
@@ -196,7 +187,8 @@ class EfciConfig:
     weight: float = 10.0
 
     def __post_init__(self):
-        _integer("degree", self.degree)
+        if _integer("degree", self.degree) < 2:
+            raise ValueError("degree must be >= 2 to carry curvature constraints")
         if not isinstance(self.search, (bool, np.bool_)):
             raise ValueError(f"search must be a bool, got {self.search!r}")
         if _integer("m", self.m) < 2 or self.m % 2:
@@ -236,8 +228,6 @@ def efci_fit(samples: SampleSet, f: TargetFunction, cfg: EfciConfig):
 
     Returns (approximant, efc_positions, objective).
     """
-    if cfg.degree < 2:
-        raise ValueError("degree must be >= 2 to carry curvature constraints")
     if cfg.epsilon >= samples.interval.width / 2:
         raise ValueError("epsilon must be smaller than half the interval width")
     counts = (2, 4, 6, 8, 10) if cfg.search else (cfg.m,)
@@ -366,7 +356,6 @@ def svd_truncated_fit(
 ) -> BasisPoly:
     """Design matrix in the chosen basis of the unit coordinate t, solved
     through the relative-threshold truncated pseudo-inverse."""
-    degree = _integer("degree", degree)
     basis = Basis(basis)
     A = linalg.design_matrix(samples.nodes, degree, basis)
     coeffs, _ = linalg.truncated_pinv_solve(A, samples.ys, threshold)

@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Basis, NodeSet, NumericError
+from .core import Basis, NodeSet, NumericError, _integer
 
 
 def design_matrix(nodes: NodeSet, degree: int, basis: Basis = Basis.MONOMIAL) -> np.ndarray:
     """(len(nodes)) x (degree+1) matrix; column j holds basis_j at each node's
     unit coordinate t = nodes.interval.to_unit(x)."""
-    if degree < 0:
+    if _integer("degree", degree) < 0:
         raise ValueError("degree must be >= 0")
     return basis.vander(nodes.interval.to_unit(nodes.xs), degree)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Approximant, Interval, TargetFunction
+from .core import Approximant, Interval, TargetFunction, _integer
 
 DEFAULT_GRID_SIZE = 1001
 
@@ -40,7 +40,7 @@ def error_report(
     the max location and the max over the outer 10% bands at each endpoint.
     Cost is one call of f and one evaluate of the approximant on the grid,
     then grid_report's vector passes."""
-    if grid_size < 2:
+    if _integer("grid_size", grid_size) < 2:
         raise ValueError("grid_size must be >= 2")
     xs = np.linspace(interval.lo, interval.hi, grid_size)
     return grid_report(xs, f(xs), approx.evaluate(xs), interval, approx.n_params, method)
@@ -72,7 +72,7 @@ def grid_report(
 def chebyshev_bound(n: int, M: float) -> float:
     """Sup-norm interpolation error bound M / (2^n * (n+1)) on Chebyshev roots,
     where M bounds |f^(n+1)| on the interval."""
-    if n < 0:
+    if (n := _integer("n", n)) < 0:  # a Python int: math.ldexp takes no numpy integer
         raise ValueError("n must be >= 0")
     if not 0 <= M < math.inf:
         raise ValueError("M must be finite and >= 0")

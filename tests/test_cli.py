@@ -52,6 +52,7 @@ def test_cli_run_bad_param(tmp_path, capsys):
 EXITS = {
     ("run", "--method", "ridge", "--param", "alpha"): (2, "error: --param expects key=value, got 'alpha'\n"),
     ("run", "--method", "efci", "--param", "m=3"): (1, "error: m must be an even integer >= 2\n"),
+    ("run", "--method", "efci", "--degree", "1"): (1, "error: degree must be >= 2 to carry curvature constraints\n"),
 }
 
 

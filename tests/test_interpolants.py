@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from oracle_utils import barycentric_oracle, runge_ld
-from runge_lab import linalg
+from runge_lab import bench, linalg
 from runge_lab.core import (
     Basis,
     BasisPoly,
@@ -20,6 +20,7 @@ from runge_lab.core import (
     NodeSet,
     RUNGE,
     TargetFunction,
+    UsageError,
     polynomial_target,
     runge,
 )
@@ -38,7 +39,8 @@ from runge_lab.interpolants import (
     tikhonov_fit,
     tisi_fit,
 )
-from runge_lab.nodes import chebyshev_roots, equispaced
+from runge_lab.metrics import chebyshev_bound, error_report
+from runge_lab.nodes import chebyshev_lobatto, chebyshev_roots, equispaced, mock_chebyshev_subset
 
 GRID = np.linspace(-1, 1, 1001)
 rng = np.random.default_rng(7)
@@ -360,9 +362,8 @@ def test_efci_config_validation():
         EfciConfig(m=3)
     with pytest.raises(ValueError):
         EfciConfig(epsilon=-0.1)
-    s = RUNGE.sample(equispaced(5))
-    with pytest.raises(ValueError):
-        efci_fit(s, RUNGE, EfciConfig(degree=1))
+    with pytest.raises(ValueError, match="^degree must be >= 2 to carry curvature constraints$"):
+        EfciConfig(degree=1)
 
 
 def test_config_counts_must_be_integers():
@@ -373,7 +374,7 @@ def test_config_counts_must_be_integers():
         (lambda: TisiConfig(nodes_per_interval=5.5), "nodes_per_interval must be an integer, got 5.5"),
         (lambda: TisiConfig(nodes_per_interval="11"), "nodes_per_interval must be an integer, got '11'"),
     ):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
             make()
     # numpy integers stay accepted and fit as Python ints do
     s = RUNGE.sample(equispaced(11))
@@ -397,9 +398,51 @@ def test_config_counts_must_be_integers():
 def test_fit_degrees_must_be_integers(fit, field):
     # a float degree used to reach numpy's vander and raise its TypeError there
     s = RUNGE.sample(equispaced(11))
-    with pytest.raises(ValueError, match=f"^{field} must be an integer, got 4.0$"):
+    with pytest.raises(UsageError, match=f"^{field} must be an integer, got 4.0$"):
         fit(s, 4.0)
     assert np.array_equal(fit(s, np.int64(4)).coeffs, fit(s, 4).coeffs)
+
+
+_E21 = RUNGE.sample(equispaced(21))
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda n: equispaced(n).xs, "n"),
+        (lambda n: chebyshev_roots(n).xs, "n"),
+        (lambda n: chebyshev_lobatto(n).xs, "n"),
+        (lambda n: lagrange_interpolate(RUNGE.sample(chebyshev_roots(n))).evaluate(GRID), "n"),
+        (lambda m: mock_chebyshev_subset(_E21.nodes, m), "m"),
+        (lambda m: mock_chebyshev_interpolate(_E21, m).evaluate(GRID), "m"),
+        (lambda m: constrained_mock_chebyshev_lstsq(_E21, m).coeffs, "m"),
+        (lambda d: linalg.design_matrix(_E21.nodes, d), "degree"),
+        (lambda g: error_report(lagrange_interpolate(_E21), RUNGE, grid_size=g), "grid_size"),
+        (lambda n: chebyshev_bound(n, 1.0), "n"),
+    ],
+    ids=[
+        "equispaced",
+        "chebyshev_roots",
+        "chebyshev_lobatto",
+        "lagrange_interpolate_on_chebyshev_roots",
+        "mock_chebyshev_subset",
+        "mock_chebyshev_interpolate",
+        "constrained_mock_chebyshev_lstsq",
+        "design_matrix",
+        "error_report",
+        "chebyshev_bound",
+    ],
+)
+def test_public_counts_must_be_integers(call, field):
+    # the Chebyshev generators took 4.5 and returned six asymmetric nodes under
+    # their family's tag (so Barycentric.fit gave them the wrong closed-form
+    # weights), and mock_chebyshev_subset built its targets from them; the
+    # other calls raised a TypeError from inside numpy or math
+    for bad in (4.5, "5"):
+        with pytest.raises(UsageError, match=f"^{field} must be an integer, got {re.escape(repr(bad))}$"):
+            call(bad)
+    np.testing.assert_equal(call(np.int64(6)), call(6))
+    assert bench.UsageError is UsageError
 
 
 def test_efci_search_must_be_a_bool():

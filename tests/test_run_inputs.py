@@ -1,7 +1,9 @@
 """Each run-input bound has one owner in bench, so every entry point that takes
 an input refuses a bad value with the same message, before its first fit and
 without writing a file: the library calls with UsageError, the CLI and
-scripts/reproduce_figures.py with exit 2 and `error: <message>`."""
+scripts/reproduce_figures.py with exit 2 and `error: <message>`. The integer
+rule these inputs share with every other public count is one `_integer` in
+runge_lab.core, and the UsageError it raises is core's, which bench imports."""
 
 import re
 import sys
