@@ -51,6 +51,9 @@ REFUSED = {
     "run-ridge-param-alpha": ("run", "--method", "ridge", "--param", "alpha"),
     "run-efci-param-m-3": ("run", "--method", "efci", "--param", "m=3"),
     "run-efci-degree-1": ("run", "--method", "efci", "--degree", "1"),
+    "run-tisi-spline-band-2": (
+        "run", "--method", "tisi", "--param", "center=spline_local", "--param", "nodes_per_interval=2"
+    ),
     "figure-10": ("figure", "10"),
 }
 

@@ -90,6 +90,8 @@ def _coerce_params(info: MethodInfo, raw: dict) -> dict:
                 if value.lower() not in ("true", "false", "1", "0"):
                     raise ValueError(value)
                 out[key] = value.lower() in ("true", "1")
+            elif typ is int and not isinstance(value, str):
+                out[key] = _integer(key, value)
             else:
                 out[key] = typ(value)
         except (TypeError, ValueError):
@@ -294,18 +296,9 @@ def _fit(spec: FitSpec, f: TargetFunction, interval: Interval):
     return info.build(samples, f, degree, interval, **params)
 
 
-def _grid(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The scoring grid, grid_size points on [-1, 1], and the Runge function on it;
-    a grid_size that is not an integer or is below 2 raises UsageError."""
-    if _integer("grid_size", grid_size) < 2:
-        raise UsageError(f"grid_size must be at least 2, got {grid_size}")
-    xs = np.linspace(Interval().lo, Interval().hi, grid_size)
-    return xs, RUNGE(xs)
-
-
 def _score(spec: FitSpec, xs: np.ndarray, truth: np.ndarray):
     """(values on xs, report labelled spec.label, named point sets) of one fit
-    of the Runge function, scored as metrics.error_report would on _grid's xs, truth."""
+    of the Runge function, scored as metrics.error_report would on its grid xs, truth."""
     approx, points = _fit(spec, RUNGE, Interval())
     ys = approx.evaluate(xs)
     return ys, metrics.grid_report(xs, truth, ys, Interval(), approx.n_params, spec.label), points
@@ -317,7 +310,7 @@ def _bundle(figure: FigureSpec, grid_size: int) -> ReportBundle:
     The target is called on the grid once per figure and _score fits,
     evaluates and scores each fit against that truth. Cost is one target call
     and one evaluate per fit on the grid, beyond the fits themselves."""
-    xs, truth = _grid(grid_size)
+    xs, truth = metrics._scoring_grid(RUNGE, Interval(), grid_size)
     curves, reports, points = [Curve(RUNGE.name, xs, truth)], [], {}
     for spec in figure.fits:
         ys, report, points[spec.label] = _score(spec, xs, truth)
@@ -381,7 +374,7 @@ def run_figures(
     sizes = [(fid, n_samples if len(ids) == 1 or fid in RESIZABLE_FIGURES else None) for fid in ids]
     for fid, n in sizes:
         _figure(fid, n)
-    _grid(grid_size)
+    metrics._scoring_grid(RUNGE, Interval(), grid_size)
     return _write_figures(sizes, grid_size, output_dir, emit_svg_file)
 
 
@@ -676,7 +669,7 @@ def sweep(method: str, grid, grid_size: int = DEFAULT_GRID_SIZE) -> list[metrics
     specs = [FitSpec(f"{method}[{n}]", method, n_samples=n, degree=None) for n in grid]
     if not specs:
         raise UsageError("a sweep needs at least one sample count")
-    xs, truth = _grid(grid_size)
+    xs, truth = metrics._scoring_grid(RUNGE, Interval(), grid_size)
     entries = []
     for spec in specs:
         try:

@@ -31,8 +31,10 @@ class UsageError(ValueError):
 
 def _integer(name: str, value) -> int:
     """`value` as an int: a Python or numpy integer passes, anything else
-    (a float, a string) raises UsageError."""
+    (a bool, a float, a string) raises UsageError."""
     try:
+        if isinstance(value, (bool, np.bool_)):  # operator.index(True) is 1
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise UsageError(f"{name} must be an integer, got {value!r}") from None
@@ -493,50 +495,35 @@ class Barycentric(Approximant):
 
 
 @dataclass(frozen=True)
-class MonomialTable(Sequence):
-    """Pieces stored as one table: row i holds the monomial coefficients, in
-    the unit coordinate of ``interval``, of piece i. As a sequence it reads as
-    ``BasisPoly`` views of its rows, built on access; its length comes from
-    the table's shape, so counting the pieces builds none."""
-
-    coeffs: np.ndarray
-    interval: Interval
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _frozen_array(self.coeffs))
-        if self.coeffs.ndim != 2:
-            raise ValueError("coefficient table must be 2-D")
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __getitem__(self, i) -> BasisPoly:
-        return BasisPoly(Basis.MONOMIAL, self.coeffs[operator.index(i)], self.interval)
-
-
-@dataclass(frozen=True)
 class Piecewise(Approximant):
     """Piecewise approximant dispatching on subinterval: left-closed/right-open
     pieces, the last piece closed on both ends.
 
+    The pieces are a tuple of approximants (TISI's bands) or one 2-D table,
+    the pp-form of the natural cubic spline: row i holds the monomial
+    coefficients of piece i in the unit coordinate of ``interval``, the span
+    of the breakpoints.
+
     Cost model: evaluating m points locates them with one ``searchsorted``.
-    Pieces given as a :class:`MonomialTable` (the natural cubic spline) are
-    then evaluated by one in-place Horner pass (:func:`_horner`) over all m
-    points with each point's row of the table gathered, so the work is
+    A table is then evaluated by one in-place Horner pass (:func:`_horner`)
+    over all m points with each point's row gathered, so the work is
     O(m log k) for k pieces, with no call per piece and no new array per
-    Horner step. It does, point by point, the float operations of that row's
-    ``BasisPoly.evaluate``, so the result is the same bit for bit. Any other
-    pieces (TISI's bands) are called once per piece hit, on its points in
-    input order as one comparison of all m piece indices finds them: O(m k).
+    Horner step. It does, point by point, the float operations of
+    ``BasisPoly(Basis.MONOMIAL, row, interval).evaluate``, so the result is
+    the same bit for bit. Tuple pieces are called once per piece hit, on its
+    points in input order as one comparison of all m piece indices finds
+    them: O(m k).
     """
 
     breakpoints: np.ndarray
-    pieces: tuple[Approximant, ...] | MonomialTable
+    pieces: tuple[Approximant, ...] | np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", _frozen_array(self.breakpoints))
-        if not isinstance(self.pieces, MonomialTable):
-            object.__setattr__(self, "pieces", tuple(self.pieces))
+        table = isinstance(self.pieces, np.ndarray)
+        object.__setattr__(self, "pieces", _frozen_array(self.pieces) if table else tuple(self.pieces))
+        if table and self.pieces.ndim != 2:
+            raise ValueError("coefficient table must be 2-D")
         if self.breakpoints.ndim != 1 or len(self.breakpoints) < 2 or not np.isfinite(self.breakpoints).all():
             raise ValueError("breakpoints must be a 1-D array of at least two finite values")
         if np.any(np.diff(self.breakpoints) <= 0):
@@ -556,10 +543,9 @@ class Piecewise(Approximant):
         flat = xs.ravel()
         idx = np.searchsorted(self.breakpoints, flat, side="right") - 1
         idx = np.clip(idx, 0, len(self.pieces) - 1)
-        if isinstance(self.pieces, MonomialTable):
-            t = self.pieces.interval.to_unit(flat)
-            rows = np.take(self.pieces.coeffs.T, idx, axis=1)  # contiguous (4, m): row j holds t^j's coefficients
-            return _horner(t, rows).reshape(xs.shape)
+        if isinstance(self.pieces, np.ndarray):
+            rows = np.take(self.pieces.T, idx, axis=1)  # contiguous (4, m): row j holds t^j's coefficients
+            return _horner(self.interval.to_unit(flat), rows).reshape(xs.shape)
         out = np.empty_like(flat)
         for i, piece in enumerate(self.pieces):
             rows = np.flatnonzero(idx == i)
@@ -569,6 +555,6 @@ class Piecewise(Approximant):
 
     @property
     def n_params(self) -> int:
-        if isinstance(self.pieces, MonomialTable):
-            return self.pieces.coeffs.size
+        if isinstance(self.pieces, np.ndarray):
+            return self.pieces.size
         return sum(p.n_params for p in self.pieces)

@@ -21,7 +21,6 @@ from .core import (
     Basis,
     BasisPoly,
     Interval,
-    MonomialTable,
     NodeSet,
     NumericError,
     Piecewise,
@@ -48,17 +47,19 @@ def cubic_spline(samples: SampleSet) -> Piecewise:
     the error is O(h^4) in the interior, but O(h^2) within a few knots of an
     end where f'' != 0 there, so node doubling divides the interior error by
     about 16 and the error near such an end by about 4. The breakpoints are
-    the knots in x; each piece is a cubic in the unit coordinate t.
+    the knots in x; each piece is a cubic in the unit coordinate t of the
+    knots' span [xs[0], xs[-1]], the only range the spline evaluates on, so
+    the samples' interval beyond the knots does not change a bit.
 
     Cost model: the fit is O(n), one tridiagonal solve for the moments and one
     vectorized closed form for the (n - 1) x 4 table of monomial coefficients,
-    which the returned ``Piecewise`` holds as its pieces (a ``MonomialTable``)
-    without building a per-piece object. Evaluating m points is one
-    ``searchsorted`` and one Horner pass over the gathered rows, O(m log n).
+    which the returned ``Piecewise`` holds as its pieces without building a
+    per-piece object. Evaluating m points is one ``searchsorted`` and one
+    Horner pass over the gathered rows, O(m log n).
     """
     if len(samples) < 3:
         raise ValueError("cubic spline needs at least three samples")
-    t = samples.interval.to_unit(samples.xs)
+    t = Interval(float(samples.xs[0]), float(samples.xs[-1])).to_unit(samples.xs)
     y = samples.ys
     h = np.diff(t)
     n = len(t)
@@ -81,7 +82,7 @@ def cubic_spline(samples: SampleSet) -> Piecewise:
             (m1 - m0) / (6.0 * h),
         ]
     )
-    return Piecewise(breakpoints=samples.xs, pieces=MonomialTable(coeffs, samples.interval))
+    return Piecewise(breakpoints=samples.xs, pieces=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +306,8 @@ class TisiConfig:
             raise ValueError("epsilon must be > 0")
         if _integer("nodes_per_interval", self.nodes_per_interval) < 2:
             raise ValueError("nodes_per_interval must be >= 2")
+        if self.nodes_per_interval < 3 and BandStrategy.SPLINE_LOCAL in (self.left, self.center, self.right):
+            raise ValueError("spline band needs nodes_per_interval >= 3")
 
 
 def _band_nodes(band: Interval, strategy: BandStrategy, n: int) -> NodeSet:
@@ -320,13 +323,8 @@ def _band_nodes(band: Interval, strategy: BandStrategy, n: int) -> NodeSet:
 
 
 def _fit_band(f: TargetFunction, band: Interval, strategy: BandStrategy, n: int) -> Approximant:
-    nodes = _band_nodes(band, strategy, n)
-    samples = f.sample(nodes)
-    if strategy is BandStrategy.SPLINE_LOCAL:
-        if n < 3:
-            raise ValueError("spline band needs nodes_per_interval >= 3")
-        return cubic_spline(samples)
-    return Barycentric.fit(samples)
+    samples = f.sample(_band_nodes(band, strategy, n))
+    return cubic_spline(samples) if strategy is BandStrategy.SPLINE_LOCAL else Barycentric.fit(samples)
 
 
 def tisi_fit(f: TargetFunction, interval: Interval, cfg: TisiConfig) -> Piecewise:

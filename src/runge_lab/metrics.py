@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Approximant, Interval, TargetFunction, _integer
+from .core import Approximant, Interval, TargetFunction, UsageError, _integer
 
 DEFAULT_GRID_SIZE = 1001
 
@@ -40,10 +40,17 @@ def error_report(
     the max location and the max over the outer 10% bands at each endpoint.
     Cost is one call of f and one evaluate of the approximant on the grid,
     then grid_report's vector passes."""
+    xs, truth = _scoring_grid(f, interval, grid_size)
+    return grid_report(xs, truth, approx.evaluate(xs), interval, approx.n_params, method)
+
+
+def _scoring_grid(f: TargetFunction, interval: Interval, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The equispaced grid of grid_size points on `interval` and f on it; a
+    grid_size that is not an integer or is below 2 raises UsageError."""
     if _integer("grid_size", grid_size) < 2:
-        raise ValueError("grid_size must be >= 2")
+        raise UsageError(f"grid_size must be at least 2, got {grid_size}")
     xs = np.linspace(interval.lo, interval.hi, grid_size)
-    return grid_report(xs, f(xs), approx.evaluate(xs), interval, approx.n_params, method)
+    return xs, f(xs)
 
 
 def grid_report(
@@ -54,7 +61,7 @@ def grid_report(
     scores a fit without evaluating it or the target again. Cost is a few
     vector passes over the grid and no call of either."""
     if len(xs) < 2:
-        raise ValueError("grid_size must be >= 2")
+        raise ValueError(f"grid_size must be at least 2, got {len(xs)}")
     err = np.abs(truth - values)
     i_max = int(np.argmax(err))
     band = 0.1 * interval.width

@@ -72,11 +72,20 @@ def test_run_experiment_rejects_unknown_method_and_params():
         ("efci", {"m": True}),
         ("efci", {"search": 2}),
         ("ridge", {"alpha": True}),
+        ("mock_chebyshev", {"m": 4.0}),
     ],
 )
 def test_coerce_params_refuses_a_value_its_type_would_change(method, params):
     with pytest.raises(UsageError, match=next(iter(params))):
         bench._coerce_params(bench.METHODS[method], params)
+
+
+@pytest.mark.parametrize("m", [4.0, True])
+def test_an_int_parameter_is_refused_unless_it_is_an_integer(m):
+    # the one integer rule of core._integer: 4.0 fitted 5 nodes, while a FitSpec
+    # refused n_samples=21.0; True was refused with a message of its own
+    with pytest.raises(UsageError, match=r"^parameter 'm' for method 'mock_chebyshev' must be int$"):
+        run_experiment(FitSpec("m", "mock_chebyshev", {"m": m}, n_samples=21))
 
 
 @pytest.mark.parametrize(
@@ -86,6 +95,7 @@ def test_coerce_params_refuses_a_value_its_type_would_change(method, params):
         ("efci", {"m": 6, "search": True}, {"m": 6, "search": True}),
         ("tisi", {"nodes_per_interval": "11", "epsilon": "0.3"}, {"nodes_per_interval": 11, "epsilon": 0.3}),
         ("efci", {"search": "1", "m": "4"}, {"search": True, "m": 4}),
+        ("mock_chebyshev", {"m": np.int64(6)}, {"m": 6}),
     ],
 )
 def test_coerce_params_keeps_exact_values_and_strings(method, params, want):

@@ -154,8 +154,8 @@ def test_monomial_horner_matches_polyval_byte_for_byte(degree, negative_zero_lea
     xs = g.uniform(-1.0, 1.0, size=shape)
     flat = xs.ravel()
     piece = np.clip(np.searchsorted(spline.breakpoints, flat, side="right") - 1, 0, len(spline.pieces) - 1)
-    rows = spline.pieces.coeffs[piece].T
-    want = P.polyval(spline.pieces.interval.to_unit(flat), rows, tensor=False)
+    rows = spline.pieces[piece].T
+    want = P.polyval(spline.interval.to_unit(flat), rows, tensor=False)
     got = spline.evaluate(xs)
     assert got.shape == shape and got.tobytes() == want.tobytes()
 
@@ -607,7 +607,8 @@ def test_piecewise_with_a_nested_table_spline_keeps_the_grouped_dispatch():
     # evaluates its own coefficient table.
     cfg = TisiConfig(left=BandStrategy.SPLINE_LOCAL, center=BandStrategy.LAGRANGE_CHEB, right=BandStrategy.SPLINE_LOCAL)
     pw = tisi_fit(RUNGE, Interval(), cfg)
-    assert isinstance(pw.pieces, tuple) and isinstance(pw.pieces[0].pieces, core.MonomialTable)
+    assert isinstance(pw.pieces, tuple) and isinstance(pw.pieces[0].pieces, np.ndarray)
+    assert pw.pieces[0].pieces.shape == pw.pieces[2].pieces.shape == (cfg.nodes_per_interval - 1, 4)
     assert pw.n_params == 2 * 4 * (cfg.nodes_per_interval - 1) + cfg.nodes_per_interval
     breaks = pw.breakpoints
     knots = np.concatenate([pw.pieces[0].breakpoints, pw.pieces[2].breakpoints])

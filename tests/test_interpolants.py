@@ -107,8 +107,8 @@ def test_spline_linear_data_stays_linear():
     line = polynomial_target([0.5, 2.0])
     s = cubic_spline(line.sample(equispaced(7)))
     assert _max_err(s, line) < 1e-12
-    for piece in s.pieces:
-        assert np.allclose(P.polyder(piece.coeffs, 2), 0.0, atol=1e-12)
+    for row in s.pieces:
+        assert np.allclose(P.polyder(row, 2), 0.0, atol=1e-12)
 
 
 def test_spline_runge_error_small():
@@ -118,13 +118,13 @@ def test_spline_runge_error_small():
 
 def test_spline_c2_at_interior_knots():
     s = cubic_spline(RUNGE.sample(equispaced(11)))
-    d2 = [P.polyder(p.coeffs, 2) for p in s.pieces]
-    max_d2 = max(np.max(np.abs(P.polyval(GRID, c))) for c in d2)
+    d2 = [P.polyder(row, 2) for row in s.pieces]
+    max_d2 = max(np.max(np.abs(P.polyval(s.interval.to_unit(GRID), c))) for c in d2)
     for i in range(1, len(s.pieces)):
-        knot = s.breakpoints[i]
+        knot = s.interval.to_unit(s.breakpoints[i])  # the rows are cubics in the unit coordinate
         for order in (0, 1, 2):
-            left = P.polyval(knot, P.polyder(s.pieces[i - 1].coeffs, order)) if order else P.polyval(knot, s.pieces[i - 1].coeffs)
-            right = P.polyval(knot, P.polyder(s.pieces[i].coeffs, order)) if order else P.polyval(knot, s.pieces[i].coeffs)
+            left = P.polyval(knot, P.polyder(s.pieces[i - 1], order)) if order else P.polyval(knot, s.pieces[i - 1])
+            right = P.polyval(knot, P.polyder(s.pieces[i], order)) if order else P.polyval(knot, s.pieces[i])
             assert abs(left - right) < 1e-8 * max(max_d2, 1.0)
 
 
@@ -145,14 +145,15 @@ def test_spline_matches_scipy_on_many_jittered_knots():
 
 
 def _per_piece(s, xs):
-    """Each point evaluated by its own piece's ``BasisPoly.evaluate``, the
-    piece picked by the left-closed rule with the last piece closed."""
+    """Each point evaluated by the ``BasisPoly.evaluate`` of its own row of
+    the table, the row picked by the left-closed rule with the last piece
+    closed."""
     flat = np.ravel(xs)
     piece = np.minimum(np.searchsorted(s.breakpoints, flat, side="right") - 1, len(s.pieces) - 1)
     out = np.empty_like(flat)
     for i in set(piece.tolist()):
         at = np.flatnonzero(piece == i)
-        out[at] = s.pieces[i].evaluate(flat[at])
+        out[at] = BasisPoly(Basis.MONOMIAL, s.pieces[i], s.interval).evaluate(flat[at])
     return out.reshape(np.shape(xs))
 
 
@@ -182,7 +183,7 @@ def test_spline_table_evaluation_is_bit_identical_to_its_pieces(make_nodes):
 
 def test_spline_table_builds_no_piece_to_count_or_evaluate(monkeypatch):
     s = cubic_spline(RUNGE.sample(equispaced(201)))
-    assert s.pieces[0].coeffs.shape == (4,) and np.array_equal(s.pieces[-1].coeffs, s.pieces[199].coeffs)
+    assert s.pieces[0].shape == (4,) and np.array_equal(s.pieces[-1], s.pieces[199])
 
     def refuse(*args):
         raise AssertionError("a piece was built or evaluated")
@@ -191,6 +192,15 @@ def test_spline_table_builds_no_piece_to_count_or_evaluate(monkeypatch):
     monkeypatch.setattr(BasisPoly, "evaluate", refuse)
     assert len(s.pieces) == 200 and s.n_params == 800
     assert np.all(np.isfinite(s.evaluate(GRID)))
+
+
+def test_spline_does_not_depend_on_the_interval_beyond_its_knots():
+    xs = _jittered_knots(997, Interval(-3.0, 2.0)).xs  # no knot on an end of the interval
+    wide = cubic_spline(RUNGE.sample(NodeSet(Interval(-3.0, 2.0), xs)))
+    span = cubic_spline(RUNGE.sample(NodeSet(Interval(float(xs[0]), float(xs[-1])), xs)))
+    points = np.concatenate([np.linspace(xs[0], xs[-1], 20_001), xs])
+    assert wide.evaluate(points).tobytes() == span.evaluate(points).tobytes()
+    assert wide.pieces.tobytes() == span.pieces.tobytes()
 
 
 def test_spline_needs_three_samples():
@@ -385,6 +395,16 @@ def test_config_counts_must_be_integers():
     assert np.array_equal(b.evaluate(xs), tisi_fit(RUNGE, Interval(), TisiConfig(nodes_per_interval=7)).evaluate(xs))
 
 
+@pytest.mark.parametrize("band", ["left", "center", "right"])
+def test_tisi_config_refuses_a_spline_band_of_two_nodes(band):
+    # the config used to take it, and tisi_fit raised only after fitting the bands before it
+    with pytest.raises(ValueError, match="^spline band needs nodes_per_interval >= 3$"):
+        TisiConfig(**{band: BandStrategy.SPLINE_LOCAL}, nodes_per_interval=2)
+    assert tisi_fit(RUNGE, Interval(), TisiConfig(nodes_per_interval=2)).n_params == 6
+    cfg = TisiConfig(**{band: BandStrategy.SPLINE_LOCAL}, nodes_per_interval=3)
+    assert np.all(np.isfinite(tisi_fit(RUNGE, Interval(), cfg).evaluate(GRID)))
+
+
 @pytest.mark.parametrize(
     "fit, field",
     [
@@ -437,8 +457,9 @@ def test_public_counts_must_be_integers(call, field):
     # the Chebyshev generators took 4.5 and returned six asymmetric nodes under
     # their family's tag (so Barycentric.fit gave them the wrong closed-form
     # weights), and mock_chebyshev_subset built its targets from them; the
-    # other calls raised a TypeError from inside numpy or math
-    for bad in (4.5, "5"):
+    # other calls raised a TypeError from inside numpy or math; a bool is no
+    # count, though operator.index(True) is 1 (chebyshev_roots(True) gave two roots)
+    for bad in (4.5, "5", True):
         with pytest.raises(UsageError, match=f"^{field} must be an integer, got {re.escape(repr(bad))}$"):
             call(bad)
     np.testing.assert_equal(call(np.int64(6)), call(6))

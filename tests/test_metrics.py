@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from runge_lab import bench
-from runge_lab.core import Basis, BasisPoly, RUNGE, TargetFunction
+from runge_lab.core import Basis, BasisPoly, Interval, RUNGE, TargetFunction
 from runge_lab.interpolants import cubic_spline, lagrange_interpolate
-from runge_lab.metrics import chebyshev_bound, error_report
+from runge_lab.metrics import chebyshev_bound, error_report, grid_report
 from runge_lab.nodes import chebyshev_roots, equispaced
 
 
@@ -35,8 +35,11 @@ def test_error_report_invariants():
     r = error_report(approx, RUNGE)
     assert r.max_abs >= r.rms >= 0.0
     assert -1.0 <= r.argmax_x <= 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(bench.UsageError, match="^grid_size must be at least 2, got 1$"):
         error_report(approx, RUNGE, grid_size=1)
+    one = np.zeros(1)
+    with pytest.raises(ValueError, match="^grid_size must be at least 2, got 1$"):
+        grid_report(one, one, one, Interval(), approx.n_params)
 
 
 def test_error_report_grid_refinement_stable():

@@ -49,6 +49,10 @@ LIBRARY = {
         "degree must be an integer, got 2.5",
         lambda out: bench.run_experiment(FitSpec("ridge", "ridge", degree=2.5), output_dir=out),
     ),
+    "integer-degree-bool-run_experiment": (
+        "degree must be an integer, got True",
+        lambda out: bench.run_experiment(FitSpec("ridge", "ridge", degree=True), output_dir=out),
+    ),
     "integer-grid_size-run_experiment": (
         "grid_size must be an integer, got 2.5",
         lambda out: bench.run_experiment(FitSpec("ridge", "ridge"), 2.5, out, True),
