@@ -14,9 +14,9 @@ under the output directory), one for the stdout of ``figure all``, of the
 output directory written as ``<out>``) and one for the stdout of
 ``list-methods``. Each of those commands must exit 0. Last, it runs each
 command of ``REFUSED``, which the CLI refuses with exit 2 (a usage error) or 1
-(a fit or a file write that fails), with ``--out`` under ``refused/``, and
-hashes ``exit=<code>`` and a newline followed by its stderr as
-``refused/<name>.stderr``. Run it before and after a refactor and ``diff`` the
+(a fit, a value outside the float range or a file write that fails), with
+``--out`` under ``refused/``, and hashes ``exit=<code>`` and a newline
+followed by its stderr as ``refused/<name>.stderr``. Run it before and after a refactor and ``diff`` the
 two manifests; a line that differs names an output that changed.
 
     python3 scripts/hash_outputs.py > before.txt
@@ -51,6 +51,7 @@ REFUSED = {
     "run-ridge-param-alpha": ("run", "--method", "ridge", "--param", "alpha"),
     "run-efci-param-m-3": ("run", "--method", "efci", "--param", "m=3"),
     "run-efci-degree-1": ("run", "--method", "efci", "--degree", "1"),
+    "run-lagrange-n-samples-201": ("run", "--method", "lagrange", "--n-samples", "201"),
     "run-tisi-spline-band-2": (
         "run", "--method", "tisi", "--param", "center=spline_local", "--param", "nodes_per_interval=2"
     ),

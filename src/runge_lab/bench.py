@@ -304,13 +304,12 @@ def _score(spec: FitSpec, xs: np.ndarray, truth: np.ndarray):
     return ys, metrics.grid_report(xs, truth, ys, Interval(), approx.n_params, spec.label), points
 
 
-def _bundle(figure: FigureSpec, grid_size: int) -> ReportBundle:
-    """Truth + one curve and error report per fit, and the figure's markers.
+def _bundle(figure: FigureSpec, xs: np.ndarray, truth: np.ndarray) -> ReportBundle:
+    """Truth + one curve and error report per fit, and the figure's markers,
+    on the scoring grid xs and the target's values truth on it.
 
-    The target is called on the grid once per figure and _score fits,
-    evaluates and scores each fit against that truth. Cost is one target call
-    and one evaluate per fit on the grid, beyond the fits themselves."""
-    xs, truth = metrics._scoring_grid(RUNGE, Interval(), grid_size)
+    _score fits, evaluates and scores each fit against that truth. Cost is
+    one evaluate per fit on the grid, beyond the fits themselves."""
     curves, reports, points = [Curve(RUNGE.name, xs, truth)], [], {}
     for spec in figure.fits:
         ys, report, points[spec.label] = _score(spec, xs, truth)
@@ -331,7 +330,7 @@ def run_experiment(
     """One fit of the Runge function as a one-fit figure on [-1, 1], marking the
     nodes it was fitted to; the files are named after its method."""
     figure = FigureSpec((fit,), (("sample nodes", fit.label, "nodes"),))
-    bundle = _bundle(figure, grid_size)
+    bundle = _bundle(figure, *metrics._scoring_grid(RUNGE, Interval(), grid_size))
     _write(bundle, output_dir, fit.method, emit_svg_file)
     return bundle
 
@@ -357,7 +356,7 @@ def run_figure(figure_id: int, grid_size: int = DEFAULT_GRID_SIZE, n_samples: in
     """Reproduce one of the paper-style figures as curves plus error reports;
     `n_samples` resizes every fit of a resizable figure. run_figures writes
     the files."""
-    return _bundle(_figure(figure_id, n_samples), grid_size)
+    return _bundle(_figure(figure_id, n_samples), *metrics._scoring_grid(RUNGE, Interval(), grid_size))
 
 
 def run_figures(
@@ -370,18 +369,21 @@ def run_figures(
     """Iterate over (figure id, bundle) of each of `ids`, each written to
     `output_dir` as figure<id>.csv, and .svg with `emit_svg_file`, unless the
     directory is None; across several ids `n_samples` resizes only the
-    resizable figures. Every input is checked on the call, before any fit."""
-    sizes = [(fid, n_samples if len(ids) == 1 or fid in RESIZABLE_FIGURES else None) for fid in ids]
-    for fid, n in sizes:
-        _figure(fid, n)
-    metrics._scoring_grid(RUNGE, Interval(), grid_size)
-    return _write_figures(sizes, grid_size, output_dir, emit_svg_file)
+    resizable figures. Every input is checked on the call, before any fit,
+    and the scoring grid and the target on it are built there once: every
+    bundle holds those two read-only arrays."""
+    sizes = [n_samples if len(ids) == 1 or fid in RESIZABLE_FIGURES else None for fid in ids]
+    figures = [(fid, _figure(fid, n)) for fid, n in zip(ids, sizes)]
+    grid = metrics._scoring_grid(RUNGE, Interval(), grid_size)
+    for column in grid:
+        column.setflags(write=False)  # every figure's bundle holds them
+    return _write_figures(figures, grid, output_dir, emit_svg_file)
 
 
-def _write_figures(sizes, grid_size, output_dir, emit_svg_file):
+def _write_figures(figures, grid, output_dir, emit_svg_file):
     column_text = {}  # the figures share their grid and truth, and some their curves: format each once
-    for fid, n in sizes:
-        bundle = run_figure(fid, grid_size, n)
+    for fid, figure in figures:
+        bundle = _bundle(figure, *grid)
         _write(bundle, output_dir, f"figure{fid}", emit_svg_file, column_text)
         yield fid, bundle
 

@@ -22,7 +22,7 @@ from numpy.polynomial import polynomial as _poly
 
 class NumericError(RuntimeError):
     """Numerical failure: singular system, non-convergence, full truncation,
-    barycentric weights outside the float range."""
+    barycentric weights or values outside the float range."""
 
 
 class UsageError(ValueError):
@@ -117,7 +117,9 @@ class Interval:
 
 
 def _frozen_array(values) -> np.ndarray:
-    a = np.asarray(values, dtype=float)
+    """A read-only float copy of `values`: the caller's array stays writable,
+    and writing to it (or to the array it views) changes nothing validated here."""
+    a = np.array(values, dtype=float)
     a.setflags(write=False)
     return a
 
@@ -226,7 +228,8 @@ class Approximant:
         """Values at the points xs, in xs's shape (a scalar gives a 0-d value). A
         non-finite point raises ValueError. ``BasisPoly`` and ``Barycentric``
         extrapolate outside their interval; ``Piecewise`` raises ValueError for
-        a point outside its span."""
+        a point outside its span. ``Barycentric`` raises NumericError for a
+        value outside the float range."""
         raise NotImplementedError
 
     @property
@@ -437,6 +440,17 @@ class Barycentric(Approximant):
     round-off. Each point's value is computed from that point alone, but the
     BLAS matrix-vector product may round it differently, in the last bits,
     with the number of points in its block.
+
+    Finite nodes, weights and ordinates can still give a value outside the
+    float range: from about a hundred equispaced nodes on, the weighted sums
+    at some points overflow to inf, and inf / inf is NaN (n = 104 is the first
+    such set on 1001 points of [-1, 1]). Each block checks its final values,
+    node hits included, and the first block holding one that is not finite
+    raises :class:`NumericError` naming n, the first such x and how many
+    points of that block are affected. No block starts after it (see
+    :func:`_blockwise`), so the rest of the grid costs nothing, and the error
+    cannot give a count over the whole grid. That error is the only signal:
+    the divide and the sums raise no numpy float warning.
     """
 
     nodes: NodeSet
@@ -482,11 +496,19 @@ class Barycentric(Approximant):
             stop = start + len(terms)
             lo, hi = np.searchsorted(hit_at, (start, stop))
             terms[hit_at[lo:hi] - start, hit_col[lo:hi]] = 1.0  # dummy, overwritten below
-            np.divide(self.weights, terms, out=terms)
-            out[start:stop] = (terms @ self.ys) / terms.sum(axis=1)
+            with np.errstate(all="ignore"):  # a non-finite value raises below instead
+                np.divide(self.weights, terms, out=terms)
+                out[start:stop] = (terms @ self.ys) / terms.sum(axis=1)
+            out[hit_at[lo:hi]] = self.ys[hit_col[lo:hi]]
+            bad = np.flatnonzero(~np.isfinite(out[start:stop]))
+            if len(bad):
+                raise NumericError(
+                    f"barycentric interpolant of {len(nodes)} nodes leaves the float range at "
+                    f"x = {float(flat[start + bad[0]])!r}: {len(bad)} of the {stop - start} point(s) "
+                    "of that evaluation block are not finite, and evaluation stops there"
+                )
 
         _blockwise(flat, nodes, finish)
-        out[hit_at] = self.ys[hit_col]
         return out.reshape(xs.shape)
 
     @property

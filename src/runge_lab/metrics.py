@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Approximant, Interval, TargetFunction, UsageError, _integer
+from .core import Approximant, Interval, NumericError, TargetFunction, UsageError, _integer
 
 DEFAULT_GRID_SIZE = 1001
 
@@ -59,9 +59,19 @@ def grid_report(
     """error_report's figures for `values` against `truth`, both taken on the
     equispaced grid `xs` over `interval`, so a caller that already holds them
     scores a fit without evaluating it or the target again. Cost is a few
-    vector passes over the grid and no call of either."""
+    vector passes over the grid and no call of either.
+
+    A non-finite value, from any approximant, raises NumericError naming the
+    first such x and how many of the grid's points are not finite: a score of
+    such values would read inf or NaN, or a finite endpoint error beside them."""
     if len(xs) < 2:
         raise ValueError(f"grid_size must be at least 2, got {len(xs)}")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise NumericError(
+            f"values of {method or 'the fit'} are not finite at {len(bad)} of the {len(xs)} grid point(s), "
+            f"first at x = {float(xs[bad[0]])!r}"
+        )
     err = np.abs(truth - values)
     i_max = int(np.argmax(err))
     band = 0.1 * interval.width

@@ -263,6 +263,17 @@ def test_run_figure_evaluates_each_fit_and_the_target_once(monkeypatch, figure_i
     assert target_calls.count(257) == 1  # no fit samples the target at 257 points
 
 
+def test_run_figures_calls_the_target_on_the_grid_once_for_every_figure(monkeypatch):
+    fits, target_calls = _spy(monkeypatch)
+    bundles = [bundle for _, bundle in bench.run_figures(bench.SUPPORTED_FIGURES, grid_size=257)]
+    assert target_calls.count(257) == 1  # no fit samples the target at 257 points
+    assert [fit.calls for fit in fits] == [1] * len(fits)
+    xs, truth = bundles[0].curves[0].xs, bundles[0].curves[0].ys
+    assert not xs.flags.writeable and not truth.flags.writeable  # shared by every bundle
+    assert all(b.curves[0].xs is xs and b.curves[0].ys is truth for b in bundles)
+    assert [b.reports for b in bundles] == [run_figure(fid, grid_size=257).reports for fid in bench.SUPPORTED_FIGURES]
+
+
 @pytest.mark.parametrize("figure_id", bench.SUPPORTED_FIGURES)
 def test_run_figure_reports_what_error_report_reports(monkeypatch, figure_id):
     bundle, fits, _ = _spied_figure(monkeypatch, figure_id, grid_size=301)

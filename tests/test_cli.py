@@ -1,10 +1,8 @@
 import csv
 import gc
-import re
 import warnings
 import weakref
 
-import numpy as np
 import pytest
 
 from runge_lab import bench
@@ -246,15 +244,26 @@ def test_cli_figure_all_formats_each_distinct_column_once_per_command(tmp_path, 
     assert counts[0] == len(columns)  # one format per distinct column of all the figures
 
 
-def test_cli_run_svg_of_a_blown_up_fit_is_finite(tmp_path, capsys):
-    # equispaced Lagrange at n = 201 overflows: its curve holds inf and nan
+def test_cli_run_of_a_blown_up_fit_exits_1_and_writes_nothing(tmp_path, capsys):
+    # equispaced Lagrange at n = 201 overflows to inf and nan; emit_svg's rule
+    # for non-finite points is checked on its own in test_bench.py
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["--out", str(tmp_path), "--svg", "run", "--method", "lagrange", "--n-samples", "201"]) == 0
-    assert not [w for w in caught if w.filename == bench.__file__]
-    text = (tmp_path / "lagrange.svg").read_text()
-    assert "nan" not in text and "inf" not in text
-    curves = bench.read_curve_csv(tmp_path / "lagrange.csv")
-    assert not np.isfinite(curves[1].ys).all()
-    polylines = re.findall(r'<polyline [^>]* points="([^"]*)"', text)
-    assert [len(p.split()) for p in polylines] == [np.isfinite(c.ys).sum() for c in curves]
+        assert main(["--out", str(tmp_path), "--svg", "run", "--method", "lagrange", "--n-samples", "201"]) == 1
+    assert not caught  # the NumericError alone, with no float warning before it
+    assert capsys.readouterr().err == (
+        "error: barycentric interpolant of 201 nodes leaves the float range at x = -0.996: 20 of the 1001 "
+        "point(s) of that evaluation block are not finite, and evaluation stops there\n"
+    )
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_sweep_records_a_blown_up_fit_and_keeps_the_other_rows(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "sweep", "--method", "lagrange", "--grid", "11,201"]) == 0
+    with open(tmp_path / "sweep_lagrange.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["param"] for r in rows] == ["11", "201"]
+    assert float(rows[0]["max_abs"]) > 0 and rows[0]["error"] == ""
+    assert rows[1]["max_abs"] == rows[1]["rms"] == rows[1]["endpoint_max_abs"] == ""
+    assert rows[1]["error"].startswith("NumericError: barycentric interpolant of 201 nodes leaves the float range")
+    assert "lagrange n=201: FAILED (NumericError: barycentric" in capsys.readouterr().out

@@ -279,14 +279,28 @@ def test_blocks_give_the_same_bits_on_any_number_of_workers(monkeypatch):
 
 def test_workers_keep_the_callers_float_error_settings(monkeypatch):
     monkeypatch.setattr(core, "_WORKERS", 2)
-    b = Barycentric.fit(RUNGE.sample(equispaced(1000)))
-    grid = np.linspace(-1.0, 1.0, 1200)  # five blocks; the weighted sums overflow to inf / inf
-    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-        b.evaluate(grid)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a worker under numpy's default settings would warn
-        with np.errstate(all="ignore"):
-            b.evaluate(grid)
+    monkeypatch.setattr(core, "_EVAL_BLOCK", 1)  # one point per block: two blocks, one per worker
+    seen, both = [], threading.Event()
+
+    def finish(start, diffs):
+        try:
+            np.divide(1.0, diffs * 0.0, out=diffs)  # divides by zero
+            seen.append((threading.get_ident(), "quiet"))
+        except FloatingPointError:
+            seen.append((threading.get_ident(), "raised"))
+        if len({ident for ident, _ in seen}) == 2:
+            both.set()
+        both.wait(5)  # so the other worker claims the other block
+
+    for settings, want in (("raise", "raised"), ("ignore", "quiet")):
+        seen.clear()
+        both.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a worker under numpy's default settings would warn
+            with np.errstate(all=settings):
+                core._blockwise(np.arange(2.0), np.zeros(1), finish)
+        assert len({ident for ident, _ in seen}) == 2  # the caller and a helper each ran a block
+        assert [outcome for _, outcome in seen] == [want, want]
 
 
 def test_a_worker_exception_re_raises_in_the_caller(monkeypatch):
@@ -556,6 +570,83 @@ def test_out_of_range_weights_name_n_the_rows_and_the_range(monkeypatch, workers
         with pytest.raises(NumericError, match=re.escape("3000 nodes leave the float range in 87 row(s) (0, 1, 2, ...)")):
             barycentric_weights(equispaced(3000).xs)  # the first block, on any number of workers
     assert NumericError is linalg.NumericError is runge_lab.NumericError
+
+
+def _blown_up_message(n, grid_size):
+    b = Barycentric.fit(RUNGE.sample(equispaced(n)))
+    with pytest.raises(NumericError) as caught:
+        b.evaluate(np.linspace(-1.0, 1.0, grid_size))
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_blown_up_evaluation_raises_the_same_error_on_any_number_of_workers(monkeypatch, workers):
+    monkeypatch.setattr(core, "_WORKERS", workers)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")  # the error is the only signal: no float warning, none raised
+        got = _blown_up_message(201, 1001)
+    # n, the first non-finite x as a Python float and the count within its block (here the whole grid)
+    assert got == (
+        "barycentric interpolant of 201 nodes leaves the float range at x = -0.996: "
+        "20 of the 1001 point(s) of that evaluation block are not finite, and evaluation stops there"
+    )
+    assert _blown_up_message(1000, 20_000).startswith(
+        "barycentric interpolant of 1000 nodes leaves the float range at x = -0.9312965648282414: "
+        "1 of the 262 point(s)"
+    )
+
+
+def test_a_blown_up_evaluation_leaves_no_float_warning_from_core():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for n, grid_size in ((201, 1001), (1000, 20_000)):
+            _blown_up_message(n, grid_size)
+    assert not [w for w in caught if w.filename == core.__file__]
+
+
+def test_a_blown_up_evaluation_stops_at_the_first_block_it_leaves_the_float_range(monkeypatch):
+    monkeypatch.setattr(core, "_WORKERS", 1)
+    real, starts = core._blockwise, []
+
+    def counted(points, nodes, finish):
+        def spy(start, diffs):
+            starts.append(start)
+            finish(start, diffs)
+
+        real(points, nodes, spy)
+
+    b = Barycentric.fit(RUNGE.sample(equispaced(1000)))
+    monkeypatch.setattr(core, "_blockwise", counted)
+    with pytest.raises(NumericError):
+        b.evaluate(np.linspace(-1.0, 1.0, 20_000))  # 77 blocks of 262 points; point 687 is the first non-finite one
+    assert starts == [0, 262, 524]
+
+
+def test_a_blown_up_interpolant_at_its_own_nodes_gives_its_ordinates():
+    # the sums of four node rows overflow before the node hits overwrite them
+    b = Barycentric.fit(RUNGE.sample(equispaced(201)))
+    assert np.array_equal(b.evaluate(b.nodes.xs), b.ys)
+
+
+def test_a_node_set_keeps_its_own_copy_of_the_callers_array():
+    xs = np.linspace(-1.0, 1.0, 5)
+    ns = NodeSet(Interval(), xs)
+    xs[0] = -0.5  # the caller's array stays writable
+    assert ns.xs.tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0] and not ns.xs.flags.writeable
+
+
+def test_writing_the_base_of_a_validated_view_changes_no_value_object():
+    base = np.linspace(-1.0, 1.0, 5)
+    ns = NodeSet(Interval(), base[:])
+    samples = SampleSet(ns, base[:])
+    table = Piecewise(base[:], base[:4, None] * np.ones((4, 4)))
+    fits = (BasisPoly(Basis.MONOMIAL, base[:]), Barycentric(ns, base[:], base[:] + 2.0))
+    base[1] = 0.9  # past the validation: no longer increasing
+    want = [-1.0, -0.5, 0.0, 0.5, 1.0]
+    assert ns.xs.tolist() == samples.ys.tolist() == table.breakpoints.tolist() == want
+    assert table.pieces[:, 0].tolist() == want[:4]
+    assert fits[0].coeffs.tolist() == fits[1].ys.tolist() == want
+    assert fits[1].weights.tolist() == [1.0, 1.5, 2.0, 2.5, 3.0]
 
 
 @pytest.mark.parametrize("bad", [0.0, np.inf, -np.inf, np.nan])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from runge_lab import bench
-from runge_lab.core import Basis, BasisPoly, Interval, RUNGE, TargetFunction
+from runge_lab.core import Basis, BasisPoly, Interval, NumericError, RUNGE, TargetFunction
 from runge_lab.interpolants import cubic_spline, lagrange_interpolate
 from runge_lab.metrics import chebyshev_bound, error_report, grid_report
 from runge_lab.nodes import chebyshev_roots, equispaced
@@ -40,6 +41,20 @@ def test_error_report_invariants():
     one = np.zeros(1)
     with pytest.raises(ValueError, match="^grid_size must be at least 2, got 1$"):
         grid_report(one, one, one, Interval(), approx.n_params)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grid_report_refuses_a_non_finite_value(bad):
+    xs = np.linspace(-1.0, 1.0, 5)
+    values = RUNGE(xs)
+    values[[1, 3]] = bad
+    want = "values of fit [3] are not finite at 2 of the 5 grid point(s), first at x = -0.5"
+    with pytest.raises(NumericError, match=f"^{re.escape(want)}$"):
+        grid_report(xs, RUNGE(xs), values, Interval(), 3, "fit [3]")
+    overflows = BasisPoly(Basis.MONOMIAL, [1e308, 1e308])  # inf at x = 1 alone
+    want = "values of the fit are not finite at 1 of the 5 grid point(s), first at x = 1.0"
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match=f"^{re.escape(want)}$"):
+        error_report(overflows, RUNGE, grid_size=5)
 
 
 def test_error_report_grid_refinement_stable():
