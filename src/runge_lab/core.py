@@ -221,6 +221,19 @@ def polynomial_target(coeffs: Sequence[float], name: str | None = None) -> Targe
     return TargetFunction(name or f"poly_deg{len(c) - 1}", lambda x: _horner(x, c))
 
 
+def _finite(values, xs, kind: str):
+    """values, if every one is finite. Else NumericError naming `kind`, how
+    many values are not finite and the first x at which one is not; xs holds
+    the points in the order of values."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise NumericError(
+            f"{kind} leaves the float range at x = {float(np.ravel(xs)[bad[0]])!r}: "
+            f"{len(bad)} of the {np.size(values)} point(s) are not finite"
+        )
+    return values
+
+
 class Approximant:
     """Base class for evaluable approximations."""
 
@@ -228,8 +241,9 @@ class Approximant:
         """Values at the points xs, in xs's shape (a scalar gives a 0-d value). A
         non-finite point raises ValueError. ``BasisPoly`` and ``Barycentric``
         extrapolate outside their interval; ``Piecewise`` raises ValueError for
-        a point outside its span. ``Barycentric`` raises NumericError for a
-        value outside the float range."""
+        a point outside its span. Every kind raises NumericError, naming the
+        first x at which it happens, for a value outside the float range, and
+        no numpy float warning comes before it."""
         raise NotImplementedError
 
     @property
@@ -253,7 +267,9 @@ class BasisPoly(Approximant):
         xs = np.asarray(xs, dtype=float)
         if not np.isfinite(xs).all():
             raise ValueError("evaluation points must be finite")
-        return self.basis.val(self.interval.to_unit(xs), self.coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):  # a value out of range raises below instead
+            values = self.basis.val(self.interval.to_unit(xs), self.coeffs)
+        return _finite(values, xs, f"{self.basis.value} polynomial of degree {len(self.coeffs) - 1}")
 
     @property
     def n_params(self) -> int:
@@ -427,12 +443,17 @@ class Barycentric(Approximant):
     ordinate, which sidesteps the 0/0 case without a fuzzy epsilon.
 
     Cost model: evaluating m points is O(m n) arithmetic, in the point blocks
-    of :func:`_blockwise`. The node hits are found once for all m points, by
-    one ``searchsorted`` on the increasing abscissae, and each block is
-    divided in place. Unbuffered differences leave the divide the largest
-    phase of one thread's call for Lobatto n = 1000 on 20 000 points
-    (43-47%), then the subtract and the row sum (20-22% each) and the
-    matrix-vector product (12-14%).
+    of :func:`_blockwise`; before the blocks, only the least and the greatest
+    point are taken (see below). Each block is divided in place, and a node
+    hit needs no search of its own: at x = x_j the difference is 0, so
+    w_j / 0 is ±inf (w_j is finite and nonzero), the matrix-vector product
+    and the row sum are ±inf or NaN in that row, and its value is never
+    finite. After the sums, each block looks up only its non-finite rows,
+    with one ``searchsorted`` on the increasing abscissae, and gives each
+    point that equals a node that node's ordinate. Unbuffered differences
+    leave the divide the largest phase of one thread's call for Lobatto
+    n = 1000 on 20 000 points (43-47%), then the subtract and the row sum
+    (20-22% each) and the matrix-vector product (12-14%).
     The arithmetic is kept on purpose: ``w / (x - x_j)`` per pair, then
     ``(terms @ ys) / terms.sum(axis=1)``. Folding the denominator into the
     matrix product (one GEMM against ``[ys, 1]``) was no faster, and it moves
@@ -444,13 +465,19 @@ class Barycentric(Approximant):
     Finite nodes, weights and ordinates can still give a value outside the
     float range: from about a hundred equispaced nodes on, the weighted sums
     at some points overflow to inf, and inf / inf is NaN (n = 104 is the first
-    such set on 1001 points of [-1, 1]). Each block checks its final values,
-    node hits included, and the first block holding one that is not finite
-    raises :class:`NumericError` naming n, the first such x and how many
-    points of that block are affected. No block starts after it (see
+    such set on 1001 points of [-1, 1]). The first block holding a value that
+    is still not finite once its node hits have their ordinates raises
+    :class:`NumericError` naming n, the first such x and how many points of
+    that block are affected. No block starts after it (see
     :func:`_blockwise`), so the rest of the grid costs nothing, and the error
     cannot give a count over the whole grid. That error is the only signal:
     the divide and the sums raise no numpy float warning.
+
+    A finite point can also lie so far from the nodes that its difference
+    from one overflows, on intervals about 1e308 wide. The nodes increase, so
+    every x - x_j lies between min(x) - x_{n-1} and max(x) - x_0; when one of
+    those two is not finite, evaluate raises :class:`NumericError` naming n
+    and the first such x, before any block starts and with no float warning.
     """
 
     nodes: NodeSet
@@ -483,28 +510,34 @@ class Barycentric(Approximant):
 
     def evaluate(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        if not np.isfinite(xs).all():
-            raise ValueError("evaluation points must be finite")
         flat = xs.ravel()
         nodes = self.nodes.xs
-        col = np.minimum(np.searchsorted(nodes, flat), len(nodes) - 1)
-        hit_at = np.flatnonzero(nodes[col] == flat)
-        hit_col = col[hit_at]
+        with np.errstate(over="ignore", invalid="ignore"):  # a point out of reach raises below instead
+            reach = (flat.min(initial=nodes[-1]) - nodes[-1], flat.max(initial=nodes[0]) - nodes[0])
+            if not np.isfinite(reach).all():
+                if not np.isfinite(flat).all():
+                    raise ValueError("evaluation points must be finite")
+                far = flat[np.isinf(flat - nodes[0]) | np.isinf(flat - nodes[-1])][0]
+                raise NumericError(
+                    f"barycentric interpolant of {len(nodes)} nodes cannot reach x = {float(far)!r}: "
+                    "its difference from a node leaves the float range"
+                )
         out = np.empty_like(flat)
 
         def finish(start, terms):
             stop = start + len(terms)
-            lo, hi = np.searchsorted(hit_at, (start, stop))
-            terms[hit_at[lo:hi] - start, hit_col[lo:hi]] = 1.0  # dummy, overwritten below
-            with np.errstate(all="ignore"):  # a non-finite value raises below instead
+            with np.errstate(all="ignore"):  # a node hit or a non-finite value is handled below
                 np.divide(self.weights, terms, out=terms)
                 out[start:stop] = (terms @ self.ys) / terms.sum(axis=1)
-            out[hit_at[lo:hi]] = self.ys[hit_col[lo:hi]]
-            bad = np.flatnonzero(~np.isfinite(out[start:stop]))
+            bad = start + np.flatnonzero(~np.isfinite(out[start:stop]))
+            col = np.minimum(np.searchsorted(nodes, flat[bad]), len(nodes) - 1)
+            hit = nodes[col] == flat[bad]
+            out[bad[hit]] = self.ys[col[hit]]
+            bad = bad[~np.isfinite(out[bad])]
             if len(bad):
                 raise NumericError(
                     f"barycentric interpolant of {len(nodes)} nodes leaves the float range at "
-                    f"x = {float(flat[start + bad[0]])!r}: {len(bad)} of the {stop - start} point(s) "
+                    f"x = {float(flat[bad[0]])!r}: {len(bad)} of the {stop - start} point(s) "
                     "of that evaluation block are not finite, and evaluation stops there"
                 )
 
@@ -567,7 +600,9 @@ class Piecewise(Approximant):
         idx = np.clip(idx, 0, len(self.pieces) - 1)
         if isinstance(self.pieces, np.ndarray):
             rows = np.take(self.pieces.T, idx, axis=1)  # contiguous (4, m): row j holds t^j's coefficients
-            return _horner(self.interval.to_unit(flat), rows).reshape(xs.shape)
+            with np.errstate(over="ignore", invalid="ignore"):  # a value out of range raises below instead
+                values = _horner(self.interval.to_unit(flat), rows)
+            return _finite(values, flat, f"piecewise polynomial of {len(self.pieces)} pieces").reshape(xs.shape)
         out = np.empty_like(flat)
         for i, piece in enumerate(self.pieces):
             rows = np.flatnonzero(idx == i)

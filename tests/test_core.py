@@ -249,7 +249,7 @@ def test_barycentric_evaluate_keeps_the_seed_arithmetic(name):
     hit_at = [block - 1, block + 3, 2 * block + 5, 3 * block + 2]  # a node in each block
     hit_nodes = [1, len(ns) // 3, len(ns) // 2, len(ns) - 2]
     grid[hit_at] = ns.xs[hit_nodes]
-    with np.errstate(all="raise"):  # a node hit must not divide by zero, even in a row it overwrites
+    with np.errstate(all="raise"):  # no float error escapes: _blockwise's subtract runs under the caller's settings
         out = b.evaluate(grid)
     assert np.array_equal(out, _seed_evaluate(b, grid))
     assert np.array_equal(out[hit_at], b.ys[hit_nodes])
@@ -626,6 +626,53 @@ def test_a_blown_up_interpolant_at_its_own_nodes_gives_its_ordinates():
     # the sums of four node rows overflow before the node hits overwrite them
     b = Barycentric.fit(RUNGE.sample(equispaced(201)))
     assert np.array_equal(b.evaluate(b.nodes.xs), b.ys)
+
+
+@pytest.mark.parametrize(
+    "ns", [equispaced(11), chebyshev_lobatto(20), equispaced(201)], ids=["equispaced11", "lobatto21", "equispaced201"]
+)
+def test_a_node_hit_keeps_the_bits_of_its_ordinate(ns):
+    # a hit row is never finite, so it is found among the non-finite rows; a
+    # BLAS that skipped the zero ordinates in terms @ ys would leave a finite
+    # 0.0 there, and the sign of a -0.0 ordinate would be lost
+    ys = RUNGE(ns.xs)
+    ys[::3], ys[1::3] = 0.0, -0.0
+    b = Barycentric.fit(SampleSet(ns, ys))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = b.evaluate(ns.xs)
+    assert out.tobytes() == ys.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_point_whose_difference_from_a_node_overflows_is_refused(monkeypatch, workers):
+    monkeypatch.setattr(core, "_WORKERS", workers)
+    ns = NodeSet(Interval(0.0, 1e308), np.linspace(0.0, 1e308, 5))
+    b = Barycentric.fit(SampleSet(ns, np.arange(5.0)))  # the line 4 x / 1e308
+    want = "barycentric interpolant of 5 nodes cannot reach x = -1e+308: its difference from a node leaves the float range"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error is the only signal: no float warning comes before it
+        assert b.evaluate([-0.5e308, 0.5e308]) == pytest.approx([-2.0, 2.0], rel=1e-12)  # every x - x_j is finite
+        with pytest.raises(NumericError, match=f"^{re.escape(want)}$"):
+            b.evaluate(np.append(np.linspace(-0.5e308, 0.5e308, 120_000), [-1e308, -1.5e308]))  # three blocks
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^evaluation points must be finite$"):
+                b.evaluate([-1e308, bad])
+
+
+def test_polynomials_and_spline_tables_refuse_a_value_outside_the_float_range():
+    table = Piecewise(np.array([-1.0, 0.0, 1.0]), np.array([[0.0, 1.0, 0.0, 0.0], [1e308, 1e308, 1e308, 1e308]]))
+    cases = (  # 1e308 (1 + x) overflows from x = 0.8; 1e308 (1 + t + t^2 + t^3) from t = 0.44
+        (BasisPoly(Basis.MONOMIAL, [1e308, 1e308]), "monomial polynomial of degree 1 leaves the float range at x = 0.9: 2"),
+        (BasisPoly(Basis.LEGENDRE, [1e308, 1e308]), "legendre polynomial of degree 1 leaves the float range at x = 0.9: 2"),
+        (table, "piecewise polynomial of 2 pieces leaves the float range at x = 0.5: 3"),
+    )
+    for approx, want in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the error is the only signal: no float warning comes before it
+            assert approx.evaluate([-0.5, 0.0]).tolist() == ([-0.5, 1e308] if approx is table else [0.5e308, 1e308])
+            with pytest.raises(NumericError, match=f"^{re.escape(want)} of the 4 point\\(s\\) are not finite$"):
+                approx.evaluate([-0.5, 0.5, 0.9, 1.0])
 
 
 def test_a_node_set_keeps_its_own_copy_of_the_callers_array():

@@ -63,3 +63,26 @@ def test_reproduce_figures_refuses_a_grid_below_two_points_as_the_cli_does(tmp_p
     assert script.err == cli.err == f"error: grid_size must be at least 2, got {grid_size}\n"
     assert script.out == ""  # refused before the table header
     assert not any(tmp_path.iterdir())  # and nothing written
+
+
+def test_loc_counts_code_and_docstring_lines(tmp_path, capsys):
+    loc = _load("loc")
+    source = tmp_path / "sample.py"
+    source.write_text(
+        '"""Module\n'
+        'docstring."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(x):\n"
+        '    """One line."""\n'
+        '    s = """not a\n'
+        '    docstring"""\n'
+        "    return s  # trailing comment\n"
+    )
+    assert loc.count(source) == (4, 3)  # def, both lines of s and return; two module lines and one function line
+    assert loc.main() == 0
+    header, *rows, total = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["module", "code", "docstring"]
+    assert [row[0] for row in rows] == sorted(p.name for p in loc.PACKAGE.glob("*.py"))
+    assert total[0] == "total"
+    assert [int(total[1]), int(total[2])] == [sum(int(row[i]) for row in rows) for i in (1, 2)]
