@@ -407,12 +407,17 @@ def default_output_dir() -> str:
 def _atomic_write(path: Path, data: bytes) -> None:
     """Write `data` to `path` through a temporary file in its directory, made
     if absent; any OSError, from the directory on, is raised as one naming
-    `path`, and a temporary file already made is removed."""
+    `path`, and a temporary file already made is removed. The file gets the
+    mode a plain ``open`` would give it, 0o666 less the process umask, where
+    ``mkstemp`` alone leaves 0o600."""
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        umask = os.umask(0o777)  # the only way to read it; restored at once
+        os.umask(umask)
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fd, 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except OSError as exc:

@@ -206,45 +206,61 @@ RUNGE = TargetFunction("runge", runge)
 
 def _coefficient_vector(coeffs) -> np.ndarray:
     """coeffs as a read-only float vector; anything but a non-empty 1-D
-    vector raises ValueError."""
+    vector of finite values raises ValueError."""
     c = _frozen_array(coeffs)
     if c.ndim != 1 or len(c) == 0:
         raise ValueError(f"coefficients must be a non-empty 1-D vector, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("coefficients must be finite")
     return c
 
 
 def polynomial_target(coeffs: Sequence[float], name: str | None = None) -> TargetFunction:
     """Target polynomial with the given monomial coefficients (low to high), a
-    non-empty 1-D vector. A call evaluates it by :func:`_horner`, in place,
-    with ``polyval``'s float operations: NaN at a non-finite x."""
+    non-empty 1-D vector of finite values. A call evaluates it by
+    :func:`_horner`, in place, with ``polyval``'s float operations: NaN at a
+    non-finite x, and ±inf without a warning where a value overflows, as
+    :func:`runge` gives 0.0."""
     c = _coefficient_vector(coeffs)
-    return TargetFunction(name or f"poly_deg{len(c) - 1}", lambda x: _horner(x, c))
 
+    def fn(x):
+        with np.errstate(over="ignore"):
+            return _horner(x, c)
 
-def _finite(values, xs, kind: str):
-    """values, if every one is finite. Else NumericError naming `kind`, how
-    many values are not finite and the first x at which one is not; xs holds
-    the points in the order of values."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if len(bad):
-        raise NumericError(
-            f"{kind} leaves the float range at x = {float(np.ravel(xs)[bad[0]])!r}: "
-            f"{len(bad)} of the {np.size(values)} point(s) are not finite"
-        )
-    return values
+    return TargetFunction(name or f"poly_deg{len(c) - 1}", fn)
 
 
 class Approximant:
     """Base class for evaluable approximations."""
 
-    def evaluate(self, xs) -> np.ndarray:  # pragma: no cover - abstract
-        """Values at the points xs, in xs's shape (a scalar gives a 0-d value). A
-        non-finite point raises ValueError. ``BasisPoly`` and ``Barycentric``
-        extrapolate outside their interval; ``Piecewise`` raises ValueError for
-        a point outside its span. Every kind raises NumericError, naming the
-        first x at which it happens, for a value outside the float range, and
-        no numpy float warning comes before it."""
-        raise NotImplementedError
+    def evaluate(self, xs) -> np.ndarray:
+        """Values at the points xs, in xs's shape (a scalar gives a 0-d value).
+
+        One rule for every kind. A non-finite point raises ValueError. The
+        kind's ``_values`` then takes the points as one flat array, under one
+        ``np.errstate`` that lets overflow and invalid operations pass, and
+        returns one value per point. A value that is not finite raises
+        NumericError naming the kind (its ``_kind``), the first such x and how
+        many are not finite, and no numpy float warning comes before it. A kind may raise
+        its own errors first: ``Piecewise`` raises ValueError for a point
+        outside its span, ``Barycentric`` raises NumericError in its first
+        block that leaves the float range, and a piece's error passes through
+        unchanged. ``BasisPoly`` and ``Barycentric`` extrapolate outside their
+        interval. Every constructor refuses non-finite data with ValueError,
+        so a NumericError here always means overflow."""
+        xs = np.asarray(xs, dtype=float)
+        flat = xs.ravel()
+        if not np.isfinite(flat).all():
+            raise ValueError("evaluation points must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # a value out of range raises below instead
+            values = self._values(flat)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise NumericError(
+                f"{self._kind} leaves the float range at x = {float(flat[bad[0]])!r}: "
+                f"{len(bad)} of the {len(flat)} point(s) are not finite"
+            )
+        return values.reshape(xs.shape)
 
     @property
     def n_params(self) -> int:  # pragma: no cover - abstract
@@ -263,13 +279,16 @@ class BasisPoly(Approximant):
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _coefficient_vector(self.coeffs))
 
-    def evaluate(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if not np.isfinite(xs).all():
-            raise ValueError("evaluation points must be finite")
-        with np.errstate(over="ignore", invalid="ignore"):  # a value out of range raises below instead
-            values = self.basis.val(self.interval.to_unit(xs), self.coeffs)
-        return _finite(values, xs, f"{self.basis.value} polynomial of degree {len(self.coeffs) - 1}")
+    # each kind holds evaluate as its own attribute, so a trace that wraps the
+    # methods a class defines (perfbench/tracer.py) times each kind apart
+    evaluate = Approximant.evaluate
+
+    @property
+    def _kind(self) -> str:
+        return f"{self.basis.value} polynomial of degree {len(self.coeffs) - 1}"
+
+    def _values(self, flat):
+        return self.basis.val(self.interval.to_unit(flat), self.coeffs)
 
     @property
     def n_params(self) -> int:
@@ -489,6 +508,8 @@ class Barycentric(Approximant):
         object.__setattr__(self, "weights", _frozen_array(self.weights))
         if len(self.ys) != len(self.nodes) or len(self.weights) != len(self.nodes):
             raise ValueError("ys and weights must match node count")
+        if not np.isfinite(self.ys).all():
+            raise ValueError("barycentric ordinates must be finite")
         if not np.all(np.isfinite(self.weights) & (self.weights != 0.0)):
             raise ValueError("barycentric weights must be finite and nonzero")
 
@@ -508,20 +529,22 @@ class Barycentric(Approximant):
     def interval(self) -> Interval:
         return self.nodes.interval
 
-    def evaluate(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        flat = xs.ravel()
+    # each kind holds evaluate as its own attribute, so a trace that wraps the
+    # methods a class defines (perfbench/tracer.py) times each kind apart
+    evaluate = Approximant.evaluate
+
+    @property
+    def _kind(self) -> str:
+        return f"barycentric interpolant of {len(self.nodes)} nodes"
+
+    def _values(self, flat):
         nodes = self.nodes.xs
-        with np.errstate(over="ignore", invalid="ignore"):  # a point out of reach raises below instead
-            reach = (flat.min(initial=nodes[-1]) - nodes[-1], flat.max(initial=nodes[0]) - nodes[0])
-            if not np.isfinite(reach).all():
-                if not np.isfinite(flat).all():
-                    raise ValueError("evaluation points must be finite")
-                far = flat[np.isinf(flat - nodes[0]) | np.isinf(flat - nodes[-1])][0]
-                raise NumericError(
-                    f"barycentric interpolant of {len(nodes)} nodes cannot reach x = {float(far)!r}: "
-                    "its difference from a node leaves the float range"
-                )
+        reach = (flat.min(initial=nodes[-1]) - nodes[-1], flat.max(initial=nodes[0]) - nodes[0])
+        if not np.isfinite(reach).all():
+            far = flat[np.isinf(flat - nodes[0]) | np.isinf(flat - nodes[-1])][0]
+            raise NumericError(
+                f"{self._kind} cannot reach x = {float(far)!r}: its difference from a node leaves the float range"
+            )
         out = np.empty_like(flat)
 
         def finish(start, terms):
@@ -536,13 +559,12 @@ class Barycentric(Approximant):
             bad = bad[~np.isfinite(out[bad])]
             if len(bad):
                 raise NumericError(
-                    f"barycentric interpolant of {len(nodes)} nodes leaves the float range at "
-                    f"x = {float(flat[bad[0]])!r}: {len(bad)} of the {stop - start} point(s) "
-                    "of that evaluation block are not finite, and evaluation stops there"
+                    f"{self._kind} leaves the float range at x = {float(flat[bad[0]])!r}: {len(bad)} of the "
+                    f"{stop - start} point(s) of that evaluation block are not finite, and evaluation stops there"
                 )
 
         _blockwise(flat, nodes, finish)
-        return out.reshape(xs.shape)
+        return out
 
     @property
     def n_params(self) -> int:
@@ -577,8 +599,8 @@ class Piecewise(Approximant):
         object.__setattr__(self, "breakpoints", _frozen_array(self.breakpoints))
         table = isinstance(self.pieces, np.ndarray)
         object.__setattr__(self, "pieces", _frozen_array(self.pieces) if table else tuple(self.pieces))
-        if table and self.pieces.ndim != 2:
-            raise ValueError("coefficient table must be 2-D")
+        if table and (self.pieces.ndim != 2 or not np.isfinite(self.pieces).all()):
+            raise ValueError("coefficient table must be 2-D and finite")
         if self.breakpoints.ndim != 1 or len(self.breakpoints) < 2 or not np.isfinite(self.breakpoints).all():
             raise ValueError("breakpoints must be a 1-D array of at least two finite values")
         if np.any(np.diff(self.breakpoints) <= 0):
@@ -590,25 +612,29 @@ class Piecewise(Approximant):
     def interval(self) -> Interval:
         return Interval(float(self.breakpoints[0]), float(self.breakpoints[-1]))
 
-    def evaluate(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
+    # each kind holds evaluate as its own attribute, so a trace that wraps the
+    # methods a class defines (perfbench/tracer.py) times each kind apart
+    evaluate = Approximant.evaluate
+
+    @property
+    def _kind(self) -> str:
+        return f"piecewise polynomial of {len(self.pieces)} pieces"
+
+    def _values(self, flat):
         lo, hi = self.breakpoints[0], self.breakpoints[-1]
-        if not np.all((xs >= lo) & (xs <= hi)):  # NaN fails both comparisons
+        if not np.all((flat >= lo) & (flat <= hi)):
             raise ValueError(f"evaluation point outside span [{lo}, {hi}]")
-        flat = xs.ravel()
         idx = np.searchsorted(self.breakpoints, flat, side="right") - 1
         idx = np.clip(idx, 0, len(self.pieces) - 1)
         if isinstance(self.pieces, np.ndarray):
             rows = np.take(self.pieces.T, idx, axis=1)  # contiguous (4, m): row j holds t^j's coefficients
-            with np.errstate(over="ignore", invalid="ignore"):  # a value out of range raises below instead
-                values = _horner(self.interval.to_unit(flat), rows)
-            return _finite(values, flat, f"piecewise polynomial of {len(self.pieces)} pieces").reshape(xs.shape)
+            return _horner(self.interval.to_unit(flat), rows)
         out = np.empty_like(flat)
         for i, piece in enumerate(self.pieces):
             rows = np.flatnonzero(idx == i)
             if rows.size:
                 out[rows] = piece.evaluate(flat[rows])
-        return out.reshape(xs.shape)
+        return out
 
     @property
     def n_params(self) -> int:

@@ -46,11 +46,27 @@ def error_report(
 
 def _scoring_grid(f: TargetFunction, interval: Interval, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """The equispaced grid of grid_size points on `interval` and f on it; a
-    grid_size that is not an integer or is below 2 raises UsageError."""
+    grid_size that is not an integer or is below 2 raises UsageError. A value
+    of f that is not finite raises NumericError naming f, how many are not
+    finite and the first such x, with no numpy float warning before it: no
+    score against such a truth means anything."""
     if _integer("grid_size", grid_size) < 2:
         raise UsageError(f"grid_size must be at least 2, got {grid_size}")
     xs = np.linspace(interval.lo, interval.hi, grid_size)
-    return xs, f(xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        truth = f(xs)
+    _refuse_non_finite(xs, truth, f"target {f.name} is")
+    return xs, truth
+
+
+def _refuse_non_finite(xs: np.ndarray, values: np.ndarray, subject: str) -> None:
+    """NumericError naming `subject`, how many of `values` are not finite and
+    the first x at which one is not, if any is not."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise NumericError(
+            f"{subject} not finite at {len(bad)} of the {len(xs)} grid point(s), first at x = {float(xs[bad[0]])!r}"
+        )
 
 
 def grid_report(
@@ -66,12 +82,7 @@ def grid_report(
     such values would read inf or NaN, or a finite endpoint error beside them."""
     if len(xs) < 2:
         raise ValueError(f"grid_size must be at least 2, got {len(xs)}")
-    bad = np.flatnonzero(~np.isfinite(values))
-    if len(bad):
-        raise NumericError(
-            f"values of {method or 'the fit'} are not finite at {len(bad)} of the {len(xs)} grid point(s), "
-            f"first at x = {float(xs[bad[0]])!r}"
-        )
+    _refuse_non_finite(xs, values, f"values of {method or 'the fit'} are")
     err = np.abs(truth - values)
     i_max = int(np.argmax(err))
     band = 0.1 * interval.width

@@ -1,5 +1,7 @@
 import dataclasses
+import os
 import re
+import stat
 import warnings
 
 import numpy as np
@@ -678,6 +680,23 @@ def _near_ties(k):
 # decimal ones that are not (2.675, 20.005, 779.995)
 _TIES = [0.125, 2.675, 20.005, 779.995, 436.875, 430.625, 779.875]
 _FORMAT_SPECIAL = [0.0, -0.0, -0.004, 999.995, 999.99, 1000.0, 1e300, 5e-324, -5e-324, 2.0**-1030, 2.2e-308]
+
+
+def test_outputs_get_the_mode_a_plain_open_gives(tmp_path):
+    bundle = run_experiment(FitSpec("spline", "spline", n_samples=5), grid_size=11)
+    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        out = tmp_path / oct(umask)
+        old = os.umask(umask)
+        try:
+            out.mkdir()
+            (out / "plain").write_bytes(b"")
+            emit_csv(bundle, out / "fit.csv")
+            emit_svg(bundle, out / "fit.svg")
+        finally:
+            os.umask(old)
+        written = sorted(out.iterdir())
+        assert [p.name for p in written] == ["fit.csv", "fit.csv.report.csv", "fit.svg", "plain"]  # no temporary file
+        assert [stat.S_IMODE(p.stat().st_mode) for p in written] == [mode] * 4
 
 
 @pytest.mark.parametrize(

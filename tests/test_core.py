@@ -249,7 +249,8 @@ def test_barycentric_evaluate_keeps_the_seed_arithmetic(name):
     hit_at = [block - 1, block + 3, 2 * block + 5, 3 * block + 2]  # a node in each block
     hit_nodes = [1, len(ns) // 3, len(ns) // 2, len(ns) - 2]
     grid[hit_at] = ns.xs[hit_nodes]
-    with np.errstate(all="raise"):  # no float error escapes: _blockwise's subtract runs under the caller's settings
+    # no float error escapes: _blockwise's subtract keeps the caller's divide and underflow settings
+    with np.errstate(all="raise"):
         out = b.evaluate(grid)
     assert np.array_equal(out, _seed_evaluate(b, grid))
     assert np.array_equal(out[hit_at], b.ys[hit_nodes])
@@ -675,6 +676,75 @@ def test_polynomials_and_spline_tables_refuse_a_value_outside_the_float_range():
                 approx.evaluate([-0.5, 0.5, 0.9, 1.0])
 
 
+def _with_table_entry(value):
+    # two spline-table pieces on [-1, 0] and [0, 1]: t, then 1e308 (1 + t + t^2 + t^3)
+    table = np.array([[0.0, 1.0, 0.0, 0.0], [1e308, 1e308, 1e308, 1e308]])
+    table[0, 2] = value
+    return Piecewise(np.array([-1.0, 0.0, 1.0]), table)
+
+
+_THREE = NodeSet(Interval(), [-1.0, 0.0, 1.0])
+_OFF_GRID = np.linspace(-1.0, 1.0, 1000)  # the 201-node sets below hold no point of it
+
+# kind -> (a fit that overflows at some of `points`, `points`, a fit of that
+# kind with `bad` as one datum, or None where a kind holds no data of its own)
+_CONTRACT = {
+    "monomial": (
+        lambda: BasisPoly(Basis.MONOMIAL, [1e308, 1e308]),
+        [-0.5, 0.5, 0.9, 1.0],
+        lambda bad: BasisPoly(Basis.MONOMIAL, [1.0, bad]),
+    ),
+    "legendre": (
+        lambda: BasisPoly(Basis.LEGENDRE, [1e308, 1e308]),
+        [-0.5, 0.5, 0.9, 1.0],
+        lambda bad: BasisPoly(Basis.LEGENDRE, [bad]),
+    ),
+    "spline-table": (lambda: _with_table_entry(0.0), [-0.5, 0.5, 0.9, 1.0], _with_table_entry),
+    "tisi": (lambda: tisi_fit(RUNGE, Interval(), TisiConfig(nodes_per_interval=201)), _OFF_GRID, None),
+    "barycentric": (
+        lambda: Barycentric.fit(RUNGE.sample(equispaced(201))),
+        _OFF_GRID,
+        lambda bad: Barycentric(_THREE, [1.0, bad, 2.0], [0.5, -1.0, 0.5]),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, workers",
+    [("monomial", 1), ("legendre", 1), ("spline-table", 1), ("tisi", 2), ("barycentric", 1), ("barycentric", 2)],
+)
+def test_every_kind_keeps_one_evaluation_contract(monkeypatch, kind, workers):
+    monkeypatch.setattr(core, "_WORKERS", workers)
+    make, points, rebuild = _CONTRACT[kind]
+    approx = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the errors are the only signal: no float warning comes before them
+        for bad in (np.nan, np.inf, -np.inf):
+            for xs in ([bad], [0.0, bad], np.full((2, 2), bad)):
+                with pytest.raises(ValueError, match="^evaluation points must be finite$"):
+                    approx.evaluate(xs)
+            if rebuild:
+                with pytest.raises(ValueError, match="finite"):
+                    rebuild(bad)
+        with pytest.raises(NumericError) as caught:
+            approx.evaluate(points)
+    want = {
+        "monomial": "monomial polynomial of degree 1 leaves the float range at x = 0.9: 2 of the 4 point(s) are not finite",
+        "legendre": "legendre polynomial of degree 1 leaves the float range at x = 0.9: 2 of the 4 point(s) are not finite",
+        "spline-table": "piecewise polynomial of 2 pieces leaves the float range at x = 0.5: 3 of the 4 point(s) "
+        "are not finite",
+        "barycentric": "barycentric interpolant of 201 nodes leaves the float range at x = -0.967967967967968: "
+        "21 of the 1000 point(s) of that evaluation block are not finite, and evaluation stops there",
+    }
+    if kind == "tisi":  # the end band's own error, unchanged
+        band = approx.pieces[0]
+        with pytest.raises(NumericError) as alone:
+            band.evaluate(_OFF_GRID[_OFF_GRID < approx.breakpoints[1]])
+        want[kind] = str(alone.value)
+        assert want[kind].startswith("barycentric interpolant of 201 nodes leaves the float range at x = -0.825")
+    assert str(caught.value) == want[kind]
+
+
 def test_a_node_set_keeps_its_own_copy_of_the_callers_array():
     xs = np.linspace(-1.0, 1.0, 5)
     ns = NodeSet(Interval(), xs)
@@ -779,9 +849,9 @@ def test_non_finite_points_are_refused(bad):
         assert np.ndim(approx.evaluate(0.5)) == 0
         assert approx.evaluate(0.5) == approx.evaluate([0.5])[0]
         assert np.array_equal(approx.evaluate(grid), approx.evaluate(grid.ravel()).reshape(2, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^evaluation points must be finite$"):
             approx.evaluate([bad, 0.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^evaluation points must be finite$"):
             approx.evaluate([bad])
         for empty in (np.empty(0), np.empty((2, 0))):
             assert approx.evaluate(empty).shape == empty.shape

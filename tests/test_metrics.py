@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from runge_lab import bench
-from runge_lab.core import Basis, BasisPoly, Interval, NumericError, RUNGE, TargetFunction
+from runge_lab.core import Basis, BasisPoly, Interval, NumericError, RUNGE, TargetFunction, polynomial_target
 from runge_lab.interpolants import cubic_spline, lagrange_interpolate
 from runge_lab.metrics import chebyshev_bound, error_report, grid_report
 from runge_lab.nodes import chebyshev_roots, equispaced
@@ -55,6 +56,21 @@ def test_grid_report_refuses_a_non_finite_value(bad):
     want = "monomial polynomial of degree 1 leaves the float range at x = 1.0: 1 of the 5 point(s) are not finite"
     with pytest.raises(NumericError, match=f"^{re.escape(want)}$"):
         error_report(overflows, RUNGE, grid_size=5)
+
+
+def test_a_target_outside_the_float_range_is_refused_once_per_grid():
+    targets = (  # inf at x = 1 alone; inf - inf = NaN from x = 0.89 on
+        (polynomial_target([1e308, 1e308]), "target poly_deg1 is not finite at 1 of the 5 grid point(s), first at x = 1.0"),
+        (TargetFunction("gap", lambda x: np.exp(800 * x) - np.exp(800 * x)), "target gap is not finite at 1 of the 5"),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error is the only signal: no float warning comes before it
+        assert targets[0][0](np.array([0.5, 1.0])).tolist() == [1.5e308, np.inf]
+        for f, want in targets:
+            with pytest.raises(NumericError, match=f"^{re.escape(want)}"):
+                error_report(BasisPoly(Basis.MONOMIAL, [1.0]), f, grid_size=5)
+    with pytest.raises(ValueError, match="^coefficients must be finite$"):
+        polynomial_target([1.0, np.nan])
 
 
 def test_error_report_grid_refinement_stable():
