@@ -279,9 +279,7 @@ class BasisPoly(Approximant):
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _coefficient_vector(self.coeffs))
 
-    # each kind holds evaluate as its own attribute, so a trace that wraps the
-    # methods a class defines (perfbench/tracer.py) times each kind apart
-    evaluate = Approximant.evaluate
+    evaluate = Approximant.evaluate  # its own attribute: perfbench/tracer.py times the methods a class defines
 
     @property
     def _kind(self) -> str:
@@ -529,9 +527,7 @@ class Barycentric(Approximant):
     def interval(self) -> Interval:
         return self.nodes.interval
 
-    # each kind holds evaluate as its own attribute, so a trace that wraps the
-    # methods a class defines (perfbench/tracer.py) times each kind apart
-    evaluate = Approximant.evaluate
+    evaluate = Approximant.evaluate  # its own attribute: perfbench/tracer.py times the methods a class defines
 
     @property
     def _kind(self) -> str:
@@ -612,9 +608,7 @@ class Piecewise(Approximant):
     def interval(self) -> Interval:
         return Interval(float(self.breakpoints[0]), float(self.breakpoints[-1]))
 
-    # each kind holds evaluate as its own attribute, so a trace that wraps the
-    # methods a class defines (perfbench/tracer.py) times each kind apart
-    evaluate = Approximant.evaluate
+    evaluate = Approximant.evaluate  # its own attribute: perfbench/tracer.py times the methods a class defines
 
     @property
     def _kind(self) -> str:
